@@ -10,6 +10,7 @@
 #define FARMER_BENCH_HAS_RUSAGE 1
 #endif
 
+#include "obs/metrics.h"
 #include "util/simd/simd.h"
 
 namespace farmer {
@@ -21,24 +22,26 @@ namespace bench {
 class JsonRecord {
  public:
   JsonRecord& Str(const std::string& key, const std::string& value) {
-    fields_.push_back('"' + Escape(key) + "\": \"" + Escape(value) + '"');
+    fields_.push_back('"' + obs::JsonEscape(key) + "\": \"" +
+                      obs::JsonEscape(value) + '"');
     return *this;
   }
 
   JsonRecord& Num(const std::string& key, double value) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.6g", value);
-    fields_.push_back('"' + Escape(key) + "\": " + buf);
+    fields_.push_back('"' + obs::JsonEscape(key) + "\": " + buf);
     return *this;
   }
 
   JsonRecord& Int(const std::string& key, long long value) {
-    fields_.push_back('"' + Escape(key) + "\": " + std::to_string(value));
+    fields_.push_back('"' + obs::JsonEscape(key) + "\": " +
+                      std::to_string(value));
     return *this;
   }
 
   JsonRecord& Bool(const std::string& key, bool value) {
-    fields_.push_back('"' + Escape(key) + "\": " +
+    fields_.push_back('"' + obs::JsonEscape(key) + "\": " +
                       (value ? "true" : "false"));
     return *this;
   }
@@ -47,7 +50,7 @@ class JsonRecord {
   /// sub-objects such as MinerStats::ToJson(). The caller guarantees
   /// `json` is well-formed.
   JsonRecord& Raw(const std::string& key, const std::string& json) {
-    fields_.push_back('"' + Escape(key) + "\": " + json);
+    fields_.push_back('"' + obs::JsonEscape(key) + "\": " + json);
     return *this;
   }
 
@@ -62,15 +65,6 @@ class JsonRecord {
   }
 
  private:
-  static std::string Escape(const std::string& s) {
-    std::string out;
-    for (char c : s) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
-    return out;
-  }
-
   std::vector<std::string> fields_;
 };
 

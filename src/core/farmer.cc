@@ -1,6 +1,8 @@
 #include "core/farmer.h"
 
 #include <algorithm>
+#include <atomic>
+#include <iterator>
 #include <utility>
 
 #include "core/measures.h"
@@ -711,9 +713,10 @@ void FarmerMiner::RunTask(ParallelShared& shared, const SubtreeTask& task,
   for (Segment& seg : out) shared.segments.push_back(std::move(seg));
 }
 
-FarmerMiner::GroupStore FarmerMiner::RunSearch(MinerStats* stats) {
+FarmerMiner::GroupStore FarmerMiner::RunSearch(MinerStats* stats,
+                                               ThreadPool* pool) {
   CancelFlag cancel;
-  if (options_.num_threads <= 1) {
+  if (pool == nullptr) {
     SearchContext ctx = MakeContext(&cancel);
     DepthScratch& root = ctx.arena[0];
     for (ItemId i = 0; i < tt_.num_items(); ++i) {
@@ -736,13 +739,13 @@ FarmerMiner::GroupStore FarmerMiner::RunSearch(MinerStats* stats) {
   // on queued work (ShouldSplit), so one skewed subtree cannot serialize
   // the run. Every emitted segment carries the lexicographic id of its
   // position in the sequential insertion stream.
-  const std::size_t num_workers = options_.num_threads;
-  // Declared before the pool so it outlives the worker threads.
+  const std::size_t num_workers = pool->num_threads();
+  // Steal instants are traced for the search only: the observer is
+  // removed once the pool drains, before it goes out of scope.
   obs::TracingPoolObserver steal_observer(options_.trace);
-  ThreadPool pool(num_workers);
-  if (options_.trace != nullptr) pool.SetObserver(&steal_observer);
+  if (options_.trace != nullptr) pool->SetObserver(&steal_observer);
   ParallelShared shared;
-  shared.pool = &pool;
+  shared.pool = pool;
   shared.hungry_below = num_workers;
   if (options_.metrics != nullptr) {
     shared.task_seconds = options_.metrics->GetHistogram(
@@ -764,12 +767,13 @@ FarmerMiner::GroupStore FarmerMiner::RunSearch(MinerStats* stats) {
                                                std::memory_order_relaxed);
   }
   SubmitTask(shared, std::move(root_task), obs::TraceSession::kMainLane);
-  pool.Wait();
+  pool->Wait();
+  pool->SetObserver(nullptr);
   if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
-    pool.CheckQuiescent();
+    pool->CheckQuiescent();
   }
 
-  // pool.Wait() means no task can still touch `shared`, but that is a
+  // pool->Wait() means no task can still touch `shared`, but that is a
   // scheduling argument the analysis cannot see — so take the (now
   // uncontended) lock once and move the guarded state into locals.
   std::vector<Segment> segments;
@@ -778,8 +782,8 @@ FarmerMiner::GroupStore FarmerMiner::RunSearch(MinerStats* stats) {
     *stats = shared.stats;
     segments = std::move(shared.segments);
   }
-  stats->task_steals = pool.steal_count();
-  stats->tasks_stolen = pool.stolen_task_count();
+  stats->task_steals = pool->steal_count();
+  stats->tasks_stolen = pool->stolen_task_count();
 
   // Deterministic merge: replay every segment's groups in id order
   // through the same dedup -> dominance -> insert path the sequential
@@ -887,20 +891,28 @@ FarmerResult FarmerMiner::Mine() {
   result.num_consequent_rows = m_;
   if (n_ == 0) return result;
 
+  // One pool serves the search and then the MineLB phase.
+  std::unique_ptr<ThreadPool> pool = MakePool();
   Stopwatch sw;
   GroupStore store;
   {
     obs::ScopedSpan span(options_.trace, obs::TraceSession::kMainLane,
                          "mine");
-    store = RunSearch(&stats_);
+    store = RunSearch(&stats_, pool.get());
     span.Arg("nodes", static_cast<std::int64_t>(stats_.nodes_visited));
     span.Arg("groups", static_cast<std::int64_t>(store.groups.size()));
   }
   stats_.mine_seconds = sw.ElapsedSeconds();
-  return FinalizeResult(std::move(store));
+  return FinalizeResult(std::move(store), pool.get());
 }
 
-FarmerResult FarmerMiner::FinalizeResult(GroupStore store) {
+std::unique_ptr<ThreadPool> FarmerMiner::MakePool() const {
+  if (options_.num_threads <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(options_.num_threads);
+}
+
+FarmerResult FarmerMiner::FinalizeResult(GroupStore store,
+                                         ThreadPool* pool) {
   FarmerResult result;
   result.num_rows = n_;
   result.num_consequent_rows = m_;
@@ -936,59 +948,7 @@ FarmerResult FarmerMiner::FinalizeResult(GroupStore store) {
     obs::ScopedSpan lb_phase(options_.trace, obs::TraceSession::kMainLane,
                              "minelb_phase");
     lb_phase.Arg("groups", static_cast<std::int64_t>(groups.size()));
-    for (RuleGroup& g : groups) {
-      // Unthrottled: one MineLB call can dwarf the check interval, so
-      // each group re-samples the clock directly.
-      if (options_.deadline.ExpiredNow()) {
-        stats_.timed_out = true;
-        break;
-      }
-      ItemVector antecedent = g.antecedent;
-      if (antecedent.empty()) {
-        // Antecedents were not stored: recover I(rows) by intersecting the
-        // member rows' itemsets.
-        const std::size_t first = g.rows.FindFirst();
-        antecedent = permuted_.row(static_cast<RowId>(first));
-        for (std::size_t r = g.rows.FindNext(first); r < g.rows.size();
-             r = g.rows.FindNext(r)) {
-          const ItemVector& row = permuted_.row(static_cast<RowId>(r));
-          ItemVector merged;
-          std::set_intersection(antecedent.begin(), antecedent.end(),
-                                row.begin(), row.end(),
-                                std::back_inserter(merged));
-          antecedent = std::move(merged);
-        }
-      }
-      LowerBoundResult lb;
-      {
-        obs::ScopedSpan span(options_.trace, obs::TraceSession::kMainLane,
-                             "minelb");
-        lb = MineLowerBounds(permuted_, antecedent, g.rows,
-                             options_.max_lower_bound_candidates,
-                             &options_.deadline);
-        span.Arg("bounds",
-                 static_cast<std::int64_t>(lb.lower_bounds.size()));
-        span.Arg("truncated", lb.truncated ? 1 : 0);
-      }
-      if (FARMER_PREDICT_FALSE(options_.progress != nullptr)) {
-        options_.progress->minelb_done.fetch_add(
-            1, std::memory_order_relaxed);
-      }
-      if (FARMER_PREDICT_FALSE(options_.verify_invariants) &&
-          !lb.truncated) {
-        FARMER_CHECK_OK(ValidateLowerBounds(permuted_, antecedent, g.rows,
-                                            lb.lower_bounds))
-            << "MineLB produced a non-minimal or non-generating bound";
-      }
-      g.lower_bounds = std::move(lb.lower_bounds);
-      g.lower_bounds_truncated = lb.truncated;
-      if (lb.timed_out) {
-        // The deadline fired inside the computation; the remaining
-        // groups' MineLB calls would all time out instantly too.
-        stats_.timed_out = true;
-        break;
-      }
-    }
+    if (RunMineLb(&groups, pool)) stats_.timed_out = true;
     stats_.lower_bound_seconds = lb_sw.ElapsedSeconds();
   }
 
@@ -1009,6 +969,90 @@ FarmerResult FarmerMiner::FinalizeResult(GroupStore store) {
   result.stats = stats_;
   if (options_.metrics != nullptr) ExportMetrics(result);
   return result;
+}
+
+bool FarmerMiner::RunMineLb(std::vector<RuleGroup>* groups,
+                            ThreadPool* pool) const {
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> timed_out{false};
+  // One worker's loop: takes group indices until none is left.
+  auto work = [&](std::size_t lane) {
+    // Deadline::Expired() mutates its throttle state: every worker
+    // samples a private copy.
+    const Deadline deadline = options_.deadline;
+    MineLbArena arena;
+    for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < groups->size();
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      if (MineGroupLowerBounds(&(*groups)[i], deadline, lane, &arena)) {
+        timed_out.store(true, std::memory_order_relaxed);
+      }
+    }
+  };
+  if (pool == nullptr) {
+    work(obs::TraceSession::kMainLane);
+  } else {
+    for (std::size_t w = 0; w < pool->num_threads(); ++w) {
+      pool->Submit([&work](std::size_t worker_id) { work(worker_id + 1); });
+    }
+    pool->Wait();
+  }
+  return timed_out.load(std::memory_order_relaxed);
+}
+
+bool FarmerMiner::MineGroupLowerBounds(RuleGroup* g,
+                                       const Deadline& deadline,
+                                       std::size_t lane,
+                                       MineLbArena* arena) const {
+  // Unthrottled: one MineLB call can dwarf the check interval, so each
+  // group re-samples the clock directly. A skipped group is flagged
+  // truncated; empty bounds alone would read as "none exist".
+  if (deadline.ExpiredNow()) {
+    g->lower_bounds.clear();
+    g->lower_bounds_truncated = true;
+    return true;
+  }
+  ItemVector recovered;
+  const ItemVector* antecedent = &g->antecedent;
+  if (antecedent->empty()) {
+    // Antecedents were not stored: recover I(rows) by intersecting the
+    // member rows' itemsets.
+    const std::size_t first = g->rows.FindFirst();
+    recovered = permuted_.row(static_cast<RowId>(first));
+    for (std::size_t r = g->rows.FindNext(first); r < g->rows.size();
+         r = g->rows.FindNext(r)) {
+      const ItemVector& row = permuted_.row(static_cast<RowId>(r));
+      ItemVector merged;
+      std::set_intersection(recovered.begin(), recovered.end(),
+                            row.begin(), row.end(),
+                            std::back_inserter(merged));
+      recovered = std::move(merged);
+    }
+    antecedent = &recovered;
+  }
+  std::vector<const Bitset*> item_rows;
+  item_rows.reserve(antecedent->size());
+  for (ItemId item : *antecedent) item_rows.push_back(&tuple_bits_[item]);
+  LowerBoundResult lb;
+  {
+    obs::ScopedSpan span(options_.trace, lane, "minelb");
+    lb = MineLowerBoundsFromTidsets(*antecedent, item_rows.data(), g->rows,
+                                    options_.max_lower_bound_candidates,
+                                    &deadline, arena);
+    span.Arg("bounds", static_cast<std::int64_t>(lb.lower_bounds.size()));
+    span.Arg("truncated", lb.truncated ? 1 : 0);
+  }
+  if (FARMER_PREDICT_FALSE(options_.progress != nullptr)) {
+    options_.progress->minelb_done.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (FARMER_PREDICT_FALSE(options_.verify_invariants) && !lb.truncated) {
+    FARMER_CHECK_OK(ValidateLowerBounds(permuted_, *antecedent, g->rows,
+                                        lb.lower_bounds))
+        << "MineLB produced a non-minimal or non-generating bound";
+  }
+  g->lower_bounds = std::move(lb.lower_bounds);
+  g->lower_bounds_truncated = lb.truncated;
+  return lb.timed_out;
 }
 
 void FarmerMiner::EnsureFarmRoot() {
@@ -1193,7 +1237,8 @@ FarmerResult FarmerMiner::FinalizeFarm(std::vector<MineSegment> segments,
       ValidateStore(merged);
     }
   }
-  return FinalizeResult(std::move(merged));
+  std::unique_ptr<ThreadPool> pool = MakePool();
+  return FinalizeResult(std::move(merged), pool.get());
 }
 
 }  // namespace internal

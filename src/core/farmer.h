@@ -18,6 +18,8 @@
 
 namespace farmer {
 
+struct MineLbArena;
+
 /// Lexicographic id of a merge event in the parallel (and farm)
 /// search: the row path of the node it belongs to. A task's id is the
 /// path of its root node; a node's own step-7 record is ordered after
@@ -353,11 +355,15 @@ class FarmerMiner {
   void RunTask(ParallelShared& shared, const SubtreeTask& task,
                std::size_t worker_id);
 
-  // Runs the search from the root: sequential recursion for
-  // num_threads <= 1; otherwise a root task on the work-stealing pool
-  // with adaptive subtree splitting, followed by the deterministic
-  // id-ordered merge. Stats are accumulated into *stats.
-  GroupStore RunSearch(MinerStats* stats);
+  // Runs the search from the root: sequential recursion without a
+  // pool; otherwise a root task on the work-stealing `pool` with
+  // adaptive subtree splitting, followed by the deterministic id-ordered
+  // merge. Stats are accumulated into *stats.
+  GroupStore RunSearch(MinerStats* stats, ThreadPool* pool);
+
+  // The pool of a num_threads > 1 run (null for one thread). Mine()
+  // keeps one for the search and the MineLB phase.
+  std::unique_ptr<ThreadPool> MakePool() const;
 
   // Applies options_.simd_level (fatal on an unknown level). Mine() and
   // the farm entry points all route through this so a worker process
@@ -367,8 +373,20 @@ class FarmerMiner {
   // The shared tail of Mine() and FinalizeFarm(): takes the merged
   // store (plus stats_ already populated), and produces the final
   // result — validation, top-k cut, MineLB, row-id remap back to the
-  // caller's ids, metrics export.
-  FarmerResult FinalizeResult(GroupStore store);
+  // caller's ids, metrics export. MineLB runs on `pool` when non-null.
+  FarmerResult FinalizeResult(GroupStore store, ThreadPool* pool);
+
+  // The MineLB phase over `groups` (permuted row ids): inline without a
+  // pool, else one dynamically scheduled loop per pool worker. Every
+  // group is written in place, so the output does not depend on the
+  // schedule. Returns true when the deadline cut the phase short.
+  bool RunMineLb(std::vector<RuleGroup>* groups, ThreadPool* pool) const;
+
+  // MineLB of one group from the transposed table (`tuple_bits_`),
+  // traced as a "minelb" span on `lane`. A group the deadline skips gets
+  // empty bounds flagged truncated. Returns true when the deadline fired.
+  bool MineGroupLowerBounds(RuleGroup* g, const Deadline& deadline,
+                            std::size_t lane, MineLbArena* arena) const;
 
   // Root-visit state backing the farm decomposition (PlanFarm /
   // MineFarmLease derive every lease from this snapshot).

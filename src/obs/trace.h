@@ -20,8 +20,8 @@ namespace obs {
 /// run's `--trace-out` JSON loads directly into chrome://tracing or
 /// Perfetto.
 ///
-/// Lane 0 is the control thread (dataset loading, MineLB, the
-/// deterministic merge); lane w+1 is pool worker w. Each lane is written
+/// Lane 0 is the control thread (dataset loading, the deterministic
+/// merge, one-thread MineLB); lane w+1 is pool worker w. Each lane is written
 /// by exactly one thread at a time, which keeps Push() lock-free and
 /// wait-free; export happens after the pool has drained (Wait()
 /// establishes the necessary happens-before edge).

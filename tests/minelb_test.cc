@@ -7,6 +7,7 @@
 #include "core/brute_force.h"
 #include "core/farmer.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace farmer {
 namespace {
@@ -231,6 +232,120 @@ TEST(MineLbTest, MinerPropagatesMineLbTimeout) {
   opts.deadline = ExpiredDeadline();
   FarmerResult r = MineFarmer(ds, opts);
   EXPECT_TRUE(r.stats.timed_out);
+}
+
+// Differential test of the miner's MineLB phase against the oracle: on
+// seeded random datasets (<= 12 rows, <= 16 items) every group's bounds
+// at 1 and 4 threads equal the exhaustive minimal-subset search.
+class MineLbMinerOracleTest
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MineLbMinerOracleTest, MinerBoundsEqualBruteForceAtOneAndFourThreads) {
+  const std::uint64_t seed = GetParam();
+  Rng shape(~seed);
+  const std::size_t rows = shape.NextInt(6, 12);
+  const std::size_t items = shape.NextInt(8, 16);
+  const double density = 0.35 + 0.1 * static_cast<double>(shape.NextInt(0, 4));
+  BinaryDataset ds = RandomDataset(rows, items, density, seed);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    MinerOptions opts;
+    opts.consequent = 1;
+    opts.min_support = 1;
+    opts.num_threads = threads;
+    opts.report_all_rule_groups = true;
+    FarmerResult r = MineFarmer(ds, opts);
+    for (const RuleGroup& g : r.groups) {
+      ASSERT_FALSE(g.lower_bounds_truncated);
+      EXPECT_EQ(AsSet(g.lower_bounds),
+                AsSet(BruteForceLowerBounds(ds, g.antecedent, g.rows)))
+          << "seed=" << seed << " threads=" << threads
+          << " rows=" << g.rows.ToString();
+    }
+  }
+}
+
+TEST_P(MineLbMinerOracleTest, CandidateCapIsThreadCountInvariant) {
+  // A cap small enough to cut some groups: the truncated
+  // under-approximations and their flags must not depend on the
+  // schedule, and the uncut groups still match the oracle.
+  const std::uint64_t seed = GetParam();
+  BinaryDataset ds = RandomDataset(12, 16, 0.7, seed);
+  MinerOptions opts;
+  opts.consequent = 1;
+  opts.min_support = 1;
+  opts.report_all_rule_groups = true;
+  opts.max_lower_bound_candidates = 6;
+  FarmerResult one = MineFarmer(ds, opts);
+  opts.num_threads = 4;
+  FarmerResult four = MineFarmer(ds, opts);
+  ASSERT_EQ(one.groups.size(), four.groups.size());
+  for (std::size_t i = 0; i < one.groups.size(); ++i) {
+    const RuleGroup& a = one.groups[i];
+    const RuleGroup& b = four.groups[i];
+    ASSERT_EQ(a.rows, b.rows);
+    EXPECT_EQ(a.lower_bounds_truncated, b.lower_bounds_truncated);
+    EXPECT_EQ(a.lower_bounds, b.lower_bounds);
+    if (!a.lower_bounds_truncated) {
+      EXPECT_EQ(AsSet(a.lower_bounds),
+                AsSet(BruteForceLowerBounds(ds, a.antecedent, a.rows)));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(SmallDatasets, MineLbMinerOracleTest,
+                         ::testing::Range<std::uint64_t>(200, 216));
+
+TEST(MineLbTest, CandidateCapCutsSomeGroupsInTheCapSweep) {
+  // Guards CandidateCapIsThreadCountInvariant against passing vacuously:
+  // at least one of its datasets hits the cap.
+  std::size_t truncated = 0;
+  for (std::uint64_t seed = 200; seed < 216; ++seed) {
+    MinerOptions opts;
+    opts.consequent = 1;
+    opts.min_support = 1;
+    opts.report_all_rule_groups = true;
+    opts.max_lower_bound_candidates = 6;
+    for (const RuleGroup& g :
+         MineFarmer(RandomDataset(12, 16, 0.7, seed), opts).groups) {
+      truncated += g.lower_bounds_truncated ? 1 : 0;
+    }
+  }
+  EXPECT_GT(truncated, 0u);
+}
+
+TEST(MineLbTest, DeadlineLeavesEveryGroupBoundedOrFlagged) {
+  // The deadline has passed before mining starts, but the search reads
+  // the clock only every 256 nodes and this tree is smaller than that,
+  // so the groups survive and it is the MineLB phase that meets the
+  // deadline. Every group must then be either fully bounded or flagged
+  // truncated; a skipped group must not pass for "no bounds exist".
+  BinaryDataset ds = RandomDataset(10, 12, 0.5, 7);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    MinerOptions opts;
+    opts.consequent = 1;
+    opts.min_support = 1;
+    opts.num_threads = threads;
+    opts.deadline = Deadline::After(1e-9);
+    FarmerResult r = MineFarmer(ds, opts);
+    ASSERT_LT(r.stats.nodes_visited, 256u);
+    ASSERT_FALSE(r.groups.empty());
+    EXPECT_TRUE(r.stats.timed_out);
+    std::size_t flagged = 0;
+    for (const RuleGroup& g : r.groups) {
+      if (g.lower_bounds_truncated) {
+        ++flagged;
+        continue;
+      }
+      Status s = ValidateLowerBounds(ds, g.antecedent, g.rows,
+                                     g.lower_bounds);
+      EXPECT_TRUE(s.ok()) << s.ToString();
+      EXPECT_FALSE(g.lower_bounds.empty());
+    }
+    // The deadline passed before the phase began, so no group was
+    // computed: all of them must carry the flag.
+    EXPECT_EQ(flagged, r.groups.size());
+  }
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_json.h"
 #include "core/farmer.h"
 #include "core/miner_options.h"
 #include "obs/metrics.h"
@@ -379,6 +380,24 @@ TEST(MetricsTest, JsonExportIsValidAndComplete) {
   EXPECT_DOUBLE_EQ(h.at("count").number, 1.0);
 }
 
+TEST(BenchJsonTest, ControlCharactersStayValidJson) {
+  // The bench records share obs::JsonEscape: quotes, backslashes and
+  // every control character are escaped, so no raw byte below 0x20
+  // reaches the file.
+  bench::JsonRecord record;
+  record.Str("key\x01", "a\"b\\c\nd\re\x1f").Int("n", 3);
+  const std::string json = record.Render();
+  EXPECT_EQ(json,
+            "{\"key\\u0001\": \"a\\\"b\\\\c\\nd\\u000de\\u001f\", "
+            "\"n\": 3}");
+  for (char c : json) {
+    EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << json;
+  }
+  JsonValue root = ParseJsonOrDie(json);
+  ASSERT_EQ(root.kind, JsonValue::kObject);
+  EXPECT_DOUBLE_EQ(root.at("n").number, 3.0);
+}
+
 // ---------------------------------------------------------------------
 // Tracing a real parallel mining run.
 
@@ -454,6 +473,29 @@ TEST(TraceTest, StealInstantsMatchStealCounter) {
     if (e.at("name").text == "steal") ++steal_events;
   }
   EXPECT_EQ(steal_events, run.result.stats.task_steals);
+}
+
+TEST(TraceTest, MineLbSpansRunOnWorkerLanes) {
+  // One "minelb" span per group, each on the lane of the pool worker
+  // that computed it; the phase span stays on the control lane.
+  TracedRun run = MineWithTrace(4);
+  ASSERT_FALSE(run.result.groups.empty());
+  std::size_t group_spans = 0;
+  std::size_t phase_spans = 0;
+  for (const JsonValue& e : run.trace.at("traceEvents").items) {
+    const std::string& name = e.at("name").text;
+    if (e.at("ph").text != "X") continue;
+    if (name == "minelb") {
+      ++group_spans;
+      EXPECT_GE(e.at("tid").number, 1.0);
+      EXPECT_LE(e.at("tid").number, 4.0);
+    } else if (name == "minelb_phase") {
+      ++phase_spans;
+      EXPECT_DOUBLE_EQ(e.at("tid").number, 0.0);
+    }
+  }
+  EXPECT_EQ(group_spans, run.result.groups.size());
+  EXPECT_EQ(phase_spans, 1u);
 }
 
 TEST(TraceTest, MetadataNamesEveryLane) {
