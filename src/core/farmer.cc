@@ -538,23 +538,17 @@ void FarmerMiner::SpawnRemaining(SearchContext& ctx, std::size_t depth,
                                  std::size_t first_row, std::size_t supp,
                                  std::size_t supn) {
   DepthScratch& s = ctx.arena[depth];
-  auto snapshot = std::make_shared<SplitSnapshot>();
-  snapshot->alive = s.alive;
-  snapshot->cands = s.new_cands;
-  snapshot->support = s.support;
+  auto snapshot = std::make_shared<const SplitSnapshot>(
+      SplitSnapshot{s.alive, s.new_cands, s.support});
+  const std::uint32_t home = ctx.lane == 0
+                                 ? kExternalWorker
+                                 : static_cast<std::uint32_t>(ctx.lane - 1);
   const std::size_t before = ctx.stats.tasks_spawned;
   for (std::size_t ri = first_row; ri < n_; ri = s.new_cands.FindNext(ri)) {
-    SubtreeTask task;
-    task.parent = snapshot;
-    task.row = static_cast<std::uint32_t>(ri);
-    task.depth = depth + 1;
-    task.supp = supp + (ri < m_ ? 1 : 0);
-    task.supn = supn + (ri >= m_ ? 1 : 0);
-    task.id = ctx.path;
-    task.id.push_back(task.row);
-    task.home_worker = ctx.lane == 0
-                           ? kExternalWorker
-                           : static_cast<std::uint32_t>(ctx.lane - 1);
+    const auto row = static_cast<std::uint32_t>(ri);
+    SubtreeTask task{snapshot, row, depth + 1, supp + (ri < m_ ? 1 : 0),
+                     supn + (ri >= m_ ? 1 : 0), ctx.path, home};
+    task.id.push_back(row);
     ++ctx.stats.tasks_spawned;
     SubmitTask(*ctx.shared, std::move(task), ctx.lane);
   }
@@ -583,7 +577,7 @@ void FarmerMiner::DeferStep7(SearchContext& ctx, std::size_t depth,
   // groups. Dominance (and exact-mode dedup) rerun at merge time, where
   // the spawned children's groups are already in the store.
   if (PassesThresholds(supp, supn)) {
-    Segment closer;
+    MineSegment closer;
     closer.id = closer_id;
     closer.groups.push_back(MakeGroup(s, *rows, supp, supn));
     ctx.closers.push_back(std::move(closer));
@@ -627,9 +621,18 @@ void FarmerMiner::SubmitTask(ParallelShared& shared, SubtreeTask task,
       });
 }
 
-void FarmerMiner::RunTask(ParallelShared& shared, const SubtreeTask& task,
-                          std::size_t worker_id) {
-  SearchContext& ctx = (*shared.contexts)[worker_id];
+void FarmerMiner::SeedRoot(DepthScratch& root) const {
+  root.alive.clear();
+  for (ItemId i = 0; i < tt_.num_items(); ++i) {
+    if (!tt_.tuple(i).empty()) root.alive.push_back(i);
+  }
+  root.cand.SetAll();
+  root.support.ResetAll();
+}
+
+std::vector<MineSegment> FarmerMiner::MineSubtree(SearchContext& ctx,
+                                                  const SubtreeTask& task,
+                                                  std::size_t lane) {
   // Per-task reset; the arena bitsets and index storage are reused.
   ctx.store.groups.clear();
   ctx.store.by_count_first.assign(n_ + 1, {});
@@ -642,22 +645,13 @@ void FarmerMiner::RunTask(ParallelShared& shared, const SubtreeTask& task,
   ctx.seg_bounds.clear();
   ctx.seg_bounds.emplace_back(task.id, 0);
   ctx.closers.clear();
-  ctx.lane = worker_id + 1;
+  ctx.lane = lane;
   ctx.published = MinerStats{};
   ctx.published_groups = 0;
-  const std::uint64_t span_start =
-      options_.trace != nullptr ? options_.trace->NowNs() : 0;
-  Stopwatch task_sw;
 
   DepthScratch& top = ctx.arena[task.depth];
   if (task.parent == nullptr) {
-    // The root task mines from the tree root.
-    top.alive.clear();
-    for (ItemId i = 0; i < tt_.num_items(); ++i) {
-      if (!tt_.tuple(i).empty()) top.alive.push_back(i);
-    }
-    top.cand.SetAll();
-    top.support.ResetAll();
+    SeedRoot(top);
   } else {
     // Derive the node inputs from the shared split snapshot, inside the
     // worker and into preallocated storage: the spawner copied nothing.
@@ -673,9 +667,9 @@ void FarmerMiner::RunTask(ParallelShared& shared, const SubtreeTask& task,
   }
   MineIRGs(ctx, task.depth, task.supp, task.supn);
 
-  // Slice the task's inline insertions into their segments and publish
-  // them together with the deferred closers and the task statistics.
-  std::vector<Segment> out;
+  // Slice the task's inline insertions into their segments, followed by
+  // the deferred closers.
+  std::vector<MineSegment> out;
   out.reserve(ctx.seg_bounds.size() + ctx.closers.size());
   for (std::size_t b = 0; b < ctx.seg_bounds.size(); ++b) {
     const std::size_t begin = ctx.seg_bounds[b].second;
@@ -683,20 +677,30 @@ void FarmerMiner::RunTask(ParallelShared& shared, const SubtreeTask& task,
                                 ? ctx.seg_bounds[b + 1].second
                                 : ctx.store.groups.size();
     if (begin == end) continue;
-    Segment seg;
+    MineSegment seg;
     seg.id = std::move(ctx.seg_bounds[b].first);
     seg.groups.assign(
         std::make_move_iterator(ctx.store.groups.begin() + begin),
         std::make_move_iterator(ctx.store.groups.begin() + end));
     out.push_back(std::move(seg));
   }
-  for (Segment& closer : ctx.closers) out.push_back(std::move(closer));
+  for (MineSegment& closer : ctx.closers) out.push_back(std::move(closer));
 
   if (FARMER_PREDICT_FALSE(options_.progress != nullptr)) {
     PublishProgress(ctx);
     options_.progress->tasks_completed.fetch_add(
         1, std::memory_order_relaxed);
   }
+  return out;
+}
+
+void FarmerMiner::RunTask(ParallelShared& shared, const SubtreeTask& task,
+                          std::size_t worker_id) {
+  SearchContext& ctx = (*shared.contexts)[worker_id];
+  const std::uint64_t span_start =
+      options_.trace != nullptr ? options_.trace->NowNs() : 0;
+  Stopwatch task_sw;
+  std::vector<MineSegment> out = MineSubtree(ctx, task, worker_id + 1);
   if (options_.trace != nullptr) {
     const bool stolen = task.home_worker != kExternalWorker &&
                         task.home_worker != worker_id;
@@ -710,7 +714,41 @@ void FarmerMiner::RunTask(ParallelShared& shared, const SubtreeTask& task,
 
   MutexLock lock(shared.mutex);
   shared.stats.MergeFrom(ctx.stats);
-  for (Segment& seg : out) shared.segments.push_back(std::move(seg));
+  for (MineSegment& seg : out) shared.segments.push_back(std::move(seg));
+}
+
+FarmerMiner::GroupStore FarmerMiner::MergeSegments(
+    std::vector<MineSegment> segments) const {
+  // Deterministic merge: replay every segment's groups in id order
+  // through the same dedup -> dominance -> insert path the sequential
+  // miner uses, which reproduces its insertion stream exactly.
+  std::stable_sort(segments.begin(), segments.end(),
+                   [](const MineSegment& a, const MineSegment& b) {
+                     return a.id < b.id;
+                   });
+  obs::Counter* merge_segments =
+      options_.metrics != nullptr
+          ? options_.metrics->GetCounter("farmer.merge.segments")
+          : nullptr;
+  GroupStore merged;
+  merged.by_count_first.resize(n_ + 1);
+  for (MineSegment& seg : segments) {
+    // One "merge" span per replayed segment on the control lane: the
+    // search has finished, so lane 0 has a single producer again.
+    obs::ScopedSpan span(options_.trace, obs::TraceSession::kMainLane,
+                         "merge");
+    span.Arg("groups", static_cast<std::int64_t>(seg.groups.size()));
+    if (merge_segments != nullptr) merge_segments->Increment();
+    for (RuleGroup& g : seg.groups) MergeGroup(merged, std::move(g));
+    // Debug mode: the store must satisfy its invariants after *every*
+    // segment merge, not only at the end — this is the executable form of
+    // the deterministic-merge argument (each merged segment leaves the
+    // store exactly as some prefix of the sequential run would).
+    if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
+      ValidateStore(merged);
+    }
+  }
+  return merged;
 }
 
 FarmerMiner::GroupStore FarmerMiner::RunSearch(MinerStats* stats,
@@ -718,11 +756,7 @@ FarmerMiner::GroupStore FarmerMiner::RunSearch(MinerStats* stats,
   CancelFlag cancel;
   if (pool == nullptr) {
     SearchContext ctx = MakeContext(&cancel);
-    DepthScratch& root = ctx.arena[0];
-    for (ItemId i = 0; i < tt_.num_items(); ++i) {
-      if (!tt_.tuple(i).empty()) root.alive.push_back(i);
-    }
-    root.cand.SetAll();
+    SeedRoot(ctx.arena[0]);
     MineIRGs(ctx, 0, 0, 0);
     if (FARMER_PREDICT_FALSE(options_.progress != nullptr)) {
       PublishProgress(ctx);
@@ -776,7 +810,7 @@ FarmerMiner::GroupStore FarmerMiner::RunSearch(MinerStats* stats,
   // pool->Wait() means no task can still touch `shared`, but that is a
   // scheduling argument the analysis cannot see — so take the (now
   // uncontended) lock once and move the guarded state into locals.
-  std::vector<Segment> segments;
+  std::vector<MineSegment> segments;
   {
     MutexLock lock(shared.mutex);
     *stats = shared.stats;
@@ -784,36 +818,7 @@ FarmerMiner::GroupStore FarmerMiner::RunSearch(MinerStats* stats,
   }
   stats->task_steals = pool->steal_count();
   stats->tasks_stolen = pool->stolen_task_count();
-
-  // Deterministic merge: replay every segment's groups in id order
-  // through the same dedup -> dominance -> insert path the sequential
-  // miner uses, which reproduces its insertion stream exactly.
-  std::stable_sort(
-      segments.begin(), segments.end(),
-      [](const Segment& a, const Segment& b) { return a.id < b.id; });
-  obs::Counter* merge_segments =
-      options_.metrics != nullptr
-          ? options_.metrics->GetCounter("farmer.merge.segments")
-          : nullptr;
-  GroupStore merged;
-  merged.by_count_first.resize(n_ + 1);
-  for (Segment& seg : segments) {
-    // One "merge" span per replayed segment on the control lane: the
-    // pool has drained, so lane 0 has a single producer again.
-    obs::ScopedSpan span(options_.trace, obs::TraceSession::kMainLane,
-                         "merge");
-    span.Arg("groups", static_cast<std::int64_t>(seg.groups.size()));
-    if (merge_segments != nullptr) merge_segments->Increment();
-    for (RuleGroup& g : seg.groups) MergeGroup(merged, std::move(g));
-    // Debug mode: the store must satisfy its invariants after *every*
-    // segment merge, not only at the end — this is the executable form of
-    // the deterministic-merge argument (each merged segment leaves the
-    // store exactly as some prefix of the sequential run would).
-    if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
-      ValidateStore(merged);
-    }
-  }
-  return merged;
+  return MergeSegments(std::move(segments));
 }
 
 void FarmerMiner::PublishProgress(SearchContext& ctx) const {
@@ -1063,34 +1068,15 @@ void FarmerMiner::EnsureFarmRoot() {
     fr.plan.root_pruned = true;
     return;
   }
-  if (farm_shared_ == nullptr) {
-    // pool == nullptr: ShouldSplit never fires, and a non-null
-    // ctx.shared keeps EffectiveMinConfidence on the static floor — the
-    // exact pruning behavior of an in-process parallel task.
-    farm_shared_ = std::make_unique<ParallelShared>();
-  }
-  if (farm_ctx_ == nullptr) {
-    farm_ctx_ =
-        std::make_unique<SearchContext>(MakeContext(/*cancel=*/nullptr));
-    farm_ctx_->shared = farm_shared_.get();
-  }
+  farm_shared_ = std::make_unique<ParallelShared>();
+  farm_ctx_ = std::make_unique<SearchContext>(MakeContext(/*cancel=*/nullptr));
+  farm_ctx_->shared = farm_shared_.get();
   SearchContext& ctx = *farm_ctx_;
-  ctx.stats = MinerStats{};
-  ctx.deadline = options_.deadline;
-  ctx.path.clear();
-  ctx.seg_bounds.clear();
-  ctx.closers.clear();
 
-  // Mirror of the root visit MineIRGs performs at depth 0 (and of the
-  // parallel root task): one node, then either prune or expose the
-  // surviving candidates as subtrees.
+  // The root visit MineIRGs performs at depth 0: one node, then either
+  // prune or expose the surviving candidates as subtrees.
   DepthScratch& root = ctx.arena[0];
-  root.alive.clear();
-  for (ItemId i = 0; i < tt_.num_items(); ++i) {
-    if (!tt_.tuple(i).empty()) root.alive.push_back(i);
-  }
-  root.cand.SetAll();
-  root.support.ResetAll();
+  SeedRoot(root);
   ++ctx.stats.nodes_visited;
   std::size_t supp = 0;
   std::size_t supn = 0;
@@ -1101,12 +1087,8 @@ void FarmerMiner::EnsureFarmRoot() {
   }
   fr.supp = supp;
   fr.supn = supn;
-
-  auto snapshot = std::make_shared<SplitSnapshot>();
-  snapshot->alive = root.alive;
-  snapshot->cands = root.new_cands;
-  snapshot->support = root.support;
-  fr.snapshot = std::move(snapshot);
+  fr.snapshot = std::make_shared<const SplitSnapshot>(
+      SplitSnapshot{root.alive, root.new_cands, root.support});
   for (std::size_t ri = root.new_cands.FindFirst(); ri < n_;
        ri = root.new_cands.FindNext(ri)) {
     fr.plan.lease_rows.push_back(static_cast<std::uint32_t>(ri));
@@ -1118,7 +1100,6 @@ void FarmerMiner::EnsureFarmRoot() {
   // [kCloserRank] (ctx.path is empty here).
   DeferStep7(ctx, 0, supp, supn);
   fr.plan.root_segments = std::move(ctx.closers);
-  ctx.closers.clear();
   fr.plan.root_stats = ctx.stats;
   if (FARMER_PREDICT_FALSE(options_.progress != nullptr)) {
     options_.progress->root_total.store(fr.plan.lease_rows.size(),
@@ -1137,68 +1118,20 @@ std::vector<MineSegment> FarmerMiner::MineFarmLease(std::uint32_t row,
                                                     MinerStats* stats) {
   ApplySimdOverride();
   EnsureFarmRoot();
-  FarmRoot& fr = *farm_root_;
+  const FarmRoot& fr = *farm_root_;
   FARMER_CHECK(!fr.plan.root_pruned)
       << "no farm leases exist: the root node was pruned";
   FARMER_CHECK(row < n_ && fr.snapshot->cands.Test(row))
       << "row " << row << " is not a farm lease root";
 
-  // Per-lease reset, mirroring RunTask's per-task reset.
+  // A lease is the depth-1 task SpawnRemaining would submit for `row`
+  // at the root.
+  const SubtreeTask task{fr.snapshot, row, 1, fr.supp + (row < m_ ? 1 : 0),
+                         fr.supn + (row >= m_ ? 1 : 0), TaskId{row}};
   SearchContext& ctx = *farm_ctx_;
-  ctx.store.groups.clear();
-  ctx.store.by_count_first.assign(n_ + 1, {});
-  ctx.store.max_count = 0;
-  ctx.store.topk_confs.clear();
-  ctx.store.seen_exact.clear();
-  ctx.stats = MinerStats{};
-  ctx.deadline = options_.deadline;
   ctx.cancel = cancel;
-  ctx.path.assign(1, row);
-  ctx.seg_bounds.clear();
-  ctx.seg_bounds.emplace_back(TaskId{row}, 0);
-  ctx.closers.clear();
-  ctx.lane = 0;
-  ctx.published = MinerStats{};
-  ctx.published_groups = 0;
-
-  // Derive the lease's node inputs from the root snapshot exactly as
-  // RunTask derives a spawned task's.
-  const SplitSnapshot& p = *fr.snapshot;
-  DepthScratch& top = ctx.arena[1];
-  top.alive.clear();
-  for (ItemId it : p.alive) {
-    if (tuple_bits_[it].Test(row)) top.alive.push_back(it);
-  }
-  top.cand = p.cands;
-  top.cand.ResetPrefix(row + 1);  // Candidates strictly after row.
-  top.support = p.support;
-  top.support.Set(row);
-  MineIRGs(ctx, 1, fr.supp + (row < m_ ? 1 : 0),
-           fr.supn + (row >= m_ ? 1 : 0));
-
-  // Slice the inline insertions into their segments (mirrors RunTask).
-  std::vector<MineSegment> out;
-  out.reserve(ctx.seg_bounds.size() + ctx.closers.size());
-  for (std::size_t b = 0; b < ctx.seg_bounds.size(); ++b) {
-    const std::size_t begin = ctx.seg_bounds[b].second;
-    const std::size_t end = b + 1 < ctx.seg_bounds.size()
-                                ? ctx.seg_bounds[b + 1].second
-                                : ctx.store.groups.size();
-    if (begin == end) continue;
-    MineSegment seg;
-    seg.id = std::move(ctx.seg_bounds[b].first);
-    seg.groups.assign(
-        std::make_move_iterator(ctx.store.groups.begin() + begin),
-        std::make_move_iterator(ctx.store.groups.begin() + end));
-    out.push_back(std::move(seg));
-  }
-  for (MineSegment& closer : ctx.closers) out.push_back(std::move(closer));
-
-  if (FARMER_PREDICT_FALSE(options_.progress != nullptr)) {
-    PublishProgress(ctx);
-    options_.progress->tasks_completed.fetch_add(1,
-                                                 std::memory_order_relaxed);
-  }
+  std::vector<MineSegment> out =
+      MineSubtree(ctx, task, obs::TraceSession::kMainLane);
   if (stats != nullptr) *stats = ctx.stats;
   ctx.cancel = nullptr;
   return out;
@@ -1212,31 +1145,10 @@ FarmerResult FarmerMiner::FinalizeFarm(std::vector<MineSegment> segments,
   result.num_consequent_rows = m_;
   if (n_ == 0) return result;
   stats_ = stats;
-
-  // The deterministic merge of RunSearch, fed by uploads instead of the
-  // pool's shared segment vector. Duplicate uploads of the same lease
-  // must NOT reach this point (the coordinator dedups by lease id): two
-  // copies of one segment would double-insert in report-all mode.
-  std::stable_sort(segments.begin(), segments.end(),
-                   [](const MineSegment& a, const MineSegment& b) {
-                     return a.id < b.id;
-                   });
-  obs::Counter* merge_segments =
-      options_.metrics != nullptr
-          ? options_.metrics->GetCounter("farmer.merge.segments")
-          : nullptr;
-  GroupStore merged;
-  merged.by_count_first.resize(n_ + 1);
-  for (MineSegment& seg : segments) {
-    obs::ScopedSpan span(options_.trace, obs::TraceSession::kMainLane,
-                         "merge");
-    span.Arg("groups", static_cast<std::int64_t>(seg.groups.size()));
-    if (merge_segments != nullptr) merge_segments->Increment();
-    for (RuleGroup& g : seg.groups) MergeGroup(merged, std::move(g));
-    if (FARMER_PREDICT_FALSE(options_.verify_invariants)) {
-      ValidateStore(merged);
-    }
-  }
+  // Duplicate uploads of the same lease must NOT reach this point (the
+  // coordinator dedups by lease id): two copies of one segment would
+  // double-insert in report-all mode.
+  GroupStore merged = MergeSegments(std::move(segments));
   std::unique_ptr<ThreadPool> pool = MakePool();
   return FinalizeResult(std::move(merged), pool.get());
 }

@@ -98,10 +98,10 @@ class FarmerMiner {
   // SpawnRemaining would split it at the tree root: one lease per root
   // candidate row surviving the root visit, plus the root's own deferred
   // step-7 closer. A worker process mines one lease with
-  // MineFarmLease(); the coordinator replays every uploaded segment in
-  // id order with FinalizeFarm(). Because the decomposition and the
-  // merge are the in-process parallel ones verbatim, the farm output is
-  // bit-identical to MineFarmer() on one machine.
+  // MineFarmLease(): a depth-1 SubtreeTask run by the same MineSubtree
+  // as a pool task. The coordinator replays every uploaded segment with
+  // FinalizeFarm(), through the same MergeSegments as the pool's merge,
+  // so the farm output is bit-identical to MineFarmer() on one machine.
 
   // The root split: which subtrees exist and what the root itself
   // contributed. Computed once, lazily, by PlanFarm().
@@ -178,9 +178,6 @@ class FarmerMiner {
     std::unordered_set<Bitset, BitsetHash> seen_exact;
   };
 
-  using TaskId = farmer::TaskId;
-  static constexpr std::uint32_t kCloserRank = farmer::kCloserRank;
-
   // Immutable inputs shared by all sibling tasks spawned at one split
   // node: one snapshot allocation per split instead of one full bitset
   // copy per spawned task. Each task derives its own masks from it
@@ -191,9 +188,10 @@ class FarmerMiner {
     Bitset support;             // Identified support of the split node.
   };
 
-  // One spawned subtree task: descend from the snapshot's node into
-  // `row`. parent == nullptr marks the root task (mine from the tree
-  // root; all other fields but `id` are ignored).
+  // The one unit of subtree work, whether the pool runs it as a task or
+  // a farm worker runs it as a lease: descend from the snapshot's node
+  // into `row`. parent == nullptr marks the root task (mine from the
+  // tree root; all other fields but `id` are ignored).
   struct SubtreeTask {
     std::shared_ptr<const SplitSnapshot> parent;
     std::uint32_t row = 0;
@@ -208,8 +206,6 @@ class FarmerMiner {
   };
   static constexpr std::uint32_t kExternalWorker = 0xFFFFFFFFu;
 
-  using Segment = MineSegment;
-
   struct SearchContext;
 
   // State shared by all workers of one parallel run.
@@ -220,7 +216,7 @@ class FarmerMiner {
     std::size_t hungry_below = 1;
     Mutex mutex;
     // All tasks' output, unordered (the merge sorts by id later).
-    std::vector<Segment> segments FARMER_GUARDED_BY(mutex);
+    std::vector<MineSegment> segments FARMER_GUARDED_BY(mutex);
     // Aggregated task statistics.
     MinerStats stats FARMER_GUARDED_BY(mutex);
     // Per-task wall-time distribution (null unless metrics are wired).
@@ -250,7 +246,7 @@ class FarmerMiner {
     // store.groups where the segment starts).
     std::vector<std::pair<TaskId, std::size_t>> seg_bounds;
     // Deferred step-7 records of nodes that spawned their children.
-    std::vector<Segment> closers;
+    std::vector<MineSegment> closers;
   };
 
   // Recursive MineIRGs (paper Figure 5). The node's conditional table and
@@ -350,15 +346,34 @@ class FarmerMiner {
   // distributions into MinerOptions::metrics (must be non-null).
   void ExportMetrics(const FarmerResult& result) const;
 
-  // Executes one subtree task on worker `worker_id`: rebuilds the node
-  // inputs from the snapshot, mines, then publishes segments + stats.
+  // Writes the tree root's node inputs (every non-empty tuple, all
+  // rows candidates, no identified support) into `root`.
+  void SeedRoot(DepthScratch& root) const;
+
+  // Mines `task` in `ctx` (reset first; its arena is reused) with trace
+  // lane `lane`, and returns the task's output as id-tagged segments:
+  // the inline insertions sliced at their boundaries, then the deferred
+  // closers. ctx.stats holds the task's counters afterwards. Both
+  // transports run their unit of work through here: pool tasks
+  // (RunTask) and farm leases (MineFarmLease).
+  std::vector<MineSegment> MineSubtree(SearchContext& ctx,
+                                       const SubtreeTask& task,
+                                       std::size_t lane);
+
+  // Executes one subtree task on worker `worker_id`: MineSubtree, then
+  // publishes segments + stats into `shared`.
   void RunTask(ParallelShared& shared, const SubtreeTask& task,
                std::size_t worker_id);
 
+  // The deterministic merge shared by RunSearch and FinalizeFarm:
+  // replays every segment's groups in id order (stable, so equal ids
+  // keep their arrival order) through MergeGroup into a fresh store.
+  GroupStore MergeSegments(std::vector<MineSegment> segments) const;
+
   // Runs the search from the root: sequential recursion without a
   // pool; otherwise a root task on the work-stealing `pool` with
-  // adaptive subtree splitting, followed by the deterministic id-ordered
-  // merge. Stats are accumulated into *stats.
+  // adaptive subtree splitting, followed by MergeSegments. Stats are
+  // accumulated into *stats.
   GroupStore RunSearch(MinerStats* stats, ThreadPool* pool);
 
   // The pool of a num_threads > 1 run (null for one thread). Mine()

@@ -3,6 +3,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -294,6 +295,18 @@ Status Worker::RunSession(int fd, bool* done, bool* rejected) {
       LeaseGrantMsg grant;
       if (!DecodeLeaseGrant(frame.payload, &grant).ok()) {
         return Status::IoError("malformed lease grant");
+      }
+      // A row outside this worker's own plan means the two sides
+      // decomposed the tree differently (a plan mismatch the hello did
+      // not catch): retrying cannot help, and mining it would abort.
+      const internal::FarmerMiner::FarmPlan& plan = miner_.PlanFarm();
+      if (plan.root_pruned ||
+          !std::binary_search(plan.lease_rows.begin(), plan.lease_rows.end(),
+                              grant.root_row)) {
+        *rejected = true;
+        return Status::InvalidArgument(
+            "lease grant for row " + std::to_string(grant.root_row) +
+            " is outside this worker's farm plan");
       }
 
       cancel_.Reset();

@@ -57,8 +57,9 @@ class Worker {
 
   /// Mines until the coordinator reports completion. Ok on a clean
   /// kDone; InvalidArgument when the coordinator rejected the hello
-  /// (mismatched dataset/params — retrying cannot help); IoError when
-  /// the coordinator stayed unreachable past the backoff budget.
+  /// (mismatched dataset/params) or granted a row outside this worker's
+  /// own farm plan — retrying cannot help either; IoError when the
+  /// coordinator stayed unreachable past the backoff budget.
   Status Run();
 
   /// Asks Run() to stop after the current lease (used by tests).
@@ -78,7 +79,8 @@ class Worker {
   };
 
   /// One connected session. Sets *done when the coordinator sent
-  /// kDone, *rejected when it refused the hello.
+  /// kDone, *rejected when it refused the hello or granted a row the
+  /// worker's plan has no lease for.
   Status RunSession(int fd, bool* done, bool* rejected);
   Status Connect(int* out_fd);
 

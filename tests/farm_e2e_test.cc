@@ -1,13 +1,15 @@
 // End-to-end farm tests: a real Coordinator and real Workers talking
-// FMP1 over localhost, plus a raw scripted client for the failure
-// paths — death mid-lease, duplicate uploads, heartbeat-timeout
-// revocation, and hello rejection. The headline assertion everywhere:
+// FMP1 over localhost, plus a raw scripted peer for the failure paths —
+// death mid-lease, duplicate uploads, heartbeat-timeout revocation,
+// hello rejection, and a coordinator granting a row outside the plan.
+// The headline assertion everywhere:
 // whatever goes wrong short of losing the coordinator, the merged farm
 // result is bit-identical to a single-process MineFarmer() run.
 
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -32,6 +34,7 @@ namespace farmer {
 namespace farm {
 namespace {
 
+using testing_util::MakeDataset;
 using testing_util::RandomDataset;
 
 void ExpectIdenticalResults(const FarmerResult& want,
@@ -54,14 +57,42 @@ void ExpectIdenticalResults(const FarmerResult& want,
   EXPECT_EQ(want.num_consequent_rows, got.num_consequent_rows);
 }
 
-// A blocking scripted FMP1 client for driving the coordinator into
-// exact protocol states a well-behaved Worker never produces.
+// A blocking scripted FMP1 peer for driving either side into exact
+// protocol states a well-behaved Coordinator or Worker never produces.
 class RawClient {
  public:
   ~RawClient() { Close(); }
 
   bool Connect(int port) {
     return net::ConnectToHost("127.0.0.1", port, 5.0, &fd_).ok();
+  }
+
+  // Takes ownership of an accepted socket: the scripted coordinator's
+  // end of a worker's connection.
+  void Adopt(int fd) {
+    Close();
+    fd_ = fd;
+  }
+
+  // Consumes the preamble a connecting worker sends before its hello.
+  bool ReadPreamble() {
+    while (buf_.size() < kFarmPreambleSize) {
+      if (!Fill()) return false;
+    }
+    if (buf_.compare(0, kFarmPreambleSize,
+                     std::string_view(kFarmPreamble, kFarmPreambleSize)) !=
+        0) {
+      return false;
+    }
+    buf_.erase(0, kFarmPreambleSize);
+    return true;
+  }
+
+  // True once the peer has closed its end (every pending byte is
+  // discarded on the way).
+  bool WaitForClose() {
+    while (Fill()) buf_.clear();
+    return true;
   }
 
   bool Send(std::string_view bytes) { return net::SendAll(fd_, bytes); }
@@ -87,10 +118,7 @@ class RawClient {
         return true;
       }
       if (got == wire::FrameExtract::kError) return false;
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return false;
-      buf_.append(chunk, static_cast<std::size_t>(n));
+      if (!Fill()) return false;
     }
   }
 
@@ -127,6 +155,15 @@ class RawClient {
   }
 
  private:
+  // Appends one recv() worth of bytes to the buffer; false on EOF/error.
+  bool Fill() {
+    char chunk[4096];
+    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    if (n <= 0) return false;
+    buf_.append(chunk, static_cast<std::size_t>(n));
+    return true;
+  }
+
   int fd_ = -1;
   std::string buf_;
 };
@@ -361,6 +398,108 @@ TEST(FarmE2ETest, MismatchedWorkersAreRejected) {
   RunWorkers(dataset, opts, coordinator.port(), 1);
   ASSERT_TRUE(coordinator.WaitForCompletion(30.0));
   ExpectIdenticalResults(MineFarmer(dataset, opts), coordinator.Finalize());
+}
+
+TEST(FarmE2ETest, RootWithZeroLeasesCompletesAtStart) {
+  // Identical rows: the root absorbs every row, so the plan has no
+  // lease and the farm is complete before any worker connects.
+  const BinaryDataset dataset = MakeDataset({{{0, 1, 2}, 1},
+                                             {{0, 1, 2}, 1},
+                                             {{0, 1, 2}, 0},
+                                             {{0, 1, 2}, 1},
+                                             {{0, 1, 2}, 0}});
+  MinerOptions opts;
+  opts.consequent = 1;
+  opts.min_support = 1;
+
+  Coordinator coordinator(dataset, opts, Coordinator::Options{});
+  ASSERT_TRUE(coordinator.Start().ok());
+  EXPECT_EQ(coordinator.lease_total(), 0u);
+  EXPECT_TRUE(coordinator.complete());
+
+  // A worker that connects now is told kDone on its first request.
+  Worker::Options wopts;
+  wopts.port = coordinator.port();
+  Worker worker(dataset, opts, wopts);
+  const Status status = worker.Run();
+  EXPECT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(worker.leases_completed(), 0u);
+
+  ASSERT_TRUE(coordinator.WaitForCompletion(30.0));
+  const FarmerResult farm = coordinator.Finalize();
+  EXPECT_EQ(farm.groups.size(), 1u);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE("threads = " + std::to_string(threads));
+    MinerOptions single = opts;
+    single.num_threads = threads;
+    ExpectIdenticalResults(MineFarmer(dataset, single), farm);
+  }
+}
+
+TEST(FarmE2ETest, GrantOutsideThePlanIsRejectedNotFatal) {
+  // Row 0 holds every item, so the root absorbs it: it is a valid row
+  // id but no lease root.
+  const BinaryDataset dataset = MakeDataset({{{0, 1, 2, 3}, 1},
+                                             {{0, 1}, 1},
+                                             {{2, 3}, 0},
+                                             {{1, 2}, 0},
+                                             {{0, 3}, 1}});
+  MinerOptions opts;
+  opts.min_support = 1;
+  internal::FarmerMiner planner(dataset, opts);
+  const internal::FarmerMiner::FarmPlan& plan = planner.PlanFarm();
+  ASSERT_FALSE(plan.root_pruned);
+  const auto num_rows = static_cast<std::uint32_t>(dataset.num_rows());
+  std::uint32_t off_plan = num_rows;
+  for (std::uint32_t r = 0; r < num_rows; ++r) {
+    if (!std::binary_search(plan.lease_rows.begin(), plan.lease_rows.end(),
+                            r)) {
+      off_plan = r;
+      break;
+    }
+  }
+  ASSERT_LT(off_plan, num_rows);
+
+  int listen_fd = -1;
+  int port = 0;
+  ASSERT_TRUE(net::OpenListener("127.0.0.1", 0, &listen_fd, &port).ok());
+  // One session per bad grant: past the row range, then inside it but
+  // outside the plan. Either way the worker must refuse the grant and
+  // return InvalidArgument instead of aborting or reconnecting.
+  for (const std::uint32_t row : {num_rows, off_plan}) {
+    SCOPED_TRACE("granted row " + std::to_string(row));
+    std::thread scripted([&] {
+      RawClient peer;
+      peer.Adopt(::accept(listen_fd, nullptr, nullptr));
+      std::uint8_t opcode = 0;
+      std::string payload;
+      EXPECT_TRUE(peer.ReadPreamble());
+      EXPECT_TRUE(peer.ReadFrame(&opcode, &payload));
+      EXPECT_EQ(static_cast<FarmOp>(opcode), FarmOp::kHello);
+      HelloAckMsg ack;
+      ack.accepted = true;
+      ack.worker_id = 1;
+      EXPECT_TRUE(peer.Send(EncodeHelloAck(ack)));
+      EXPECT_TRUE(peer.ReadFrame(&opcode, &payload));
+      EXPECT_EQ(static_cast<FarmOp>(opcode), FarmOp::kLeaseRequest);
+      LeaseGrantMsg grant;
+      grant.lease_id = 1;
+      grant.root_row = row;
+      EXPECT_TRUE(peer.Send(EncodeLeaseGrant(grant)));
+      peer.WaitForClose();
+    });
+    Worker::Options wopts;
+    wopts.port = port;
+    Worker worker(dataset, opts, wopts);
+    const Status status = worker.Run();
+    scripted.join();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    EXPECT_EQ(worker.leases_completed(), 0u);
+  }
+  // No reconnect attempt is queued on the listener.
+  ASSERT_TRUE(net::SetNonBlocking(listen_fd));
+  EXPECT_LT(::accept(listen_fd, nullptr, nullptr), 0);
+  ::close(listen_fd);
 }
 
 TEST(FarmE2ETest, MetricsScrapeOnTheFarmListener) {

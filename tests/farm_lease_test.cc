@@ -18,6 +18,7 @@
 namespace farmer {
 namespace {
 
+using testing_util::MakeDataset;
 using testing_util::PaperExampleDataset;
 using testing_util::RandomDataset;
 
@@ -151,6 +152,27 @@ TEST(FarmLeaseTest, VerifyInvariantsMode) {
   opts.min_confidence = 0.5;
   opts.verify_invariants = true;
   ExpectFarmInvariant(RandomDataset(13, 22, 0.35, 77), opts);
+}
+
+TEST(FarmLeaseTest, RootSurvivesWithZeroLeases) {
+  // Every row carries the same items, so the root visit absorbs them
+  // all: the root survives but leaves no subtree to lease, and its own
+  // deferred closer is the whole result.
+  const BinaryDataset dataset = MakeDataset({{{0, 1, 2}, 1},
+                                             {{0, 1, 2}, 1},
+                                             {{0, 1, 2}, 0},
+                                             {{0, 1, 2}, 1},
+                                             {{0, 1, 2}, 0}});
+  MinerOptions opts;
+  opts.consequent = 1;
+  opts.min_support = 1;
+  internal::FarmerMiner miner(dataset, opts);
+  const internal::FarmerMiner::FarmPlan& plan = miner.PlanFarm();
+  EXPECT_FALSE(plan.root_pruned);
+  EXPECT_TRUE(plan.lease_rows.empty());
+  ASSERT_EQ(plan.root_segments.size(), 1u);
+  EXPECT_EQ(plan.root_segments[0].groups.size(), 1u);
+  ExpectFarmInvariant(dataset, opts);
 }
 
 TEST(FarmLeaseTest, EmptyDataset) {
