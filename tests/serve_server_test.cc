@@ -76,8 +76,13 @@ class TestClient {
       if (n <= 0) return false;
       sent += static_cast<std::size_t>(n);
     }
+    bytes_sent_ += sent;
     return true;
   }
+
+  // Half-closes the connection: the server sees EOF after the bytes
+  // already sent.
+  void ShutdownWrite() { ::shutdown(fd_, SHUT_WR); }
 
   bool Recv(std::string* line) {
     for (;;) {
@@ -87,10 +92,7 @@ class TestClient {
         buffer_.erase(0, nl + 1);
         return true;
       }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return false;
-      buffer_.append(chunk, static_cast<std::size_t>(n));
+      if (!Fill()) return false;
     }
   }
 
@@ -110,10 +112,7 @@ class TestClient {
           return s.ok();
         }
       }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return false;
-      buffer_.append(chunk, static_cast<std::size_t>(n));
+      if (!Fill()) return false;
     }
   }
 
@@ -126,19 +125,32 @@ class TestClient {
 
   // Everything until the peer closes — for HTTP responses.
   std::string RecvAll() {
-    for (;;) {
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) break;
-      buffer_.append(chunk, static_cast<std::size_t>(n));
+    while (Fill()) {
     }
     return buffer_;
   }
 
+  // Wire totals over the client's lifetime, for checking the server's
+  // byte counters.
+  std::size_t bytes_sent() const { return bytes_sent_; }
+  std::size_t bytes_received() const { return bytes_received_; }
+
  private:
+  // Appends one recv() worth of bytes to the buffer; false on EOF/error.
+  bool Fill() {
+    char chunk[4096];
+    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+    if (n <= 0) return false;
+    buffer_.append(chunk, static_cast<std::size_t>(n));
+    bytes_received_ += static_cast<std::size_t>(n);
+    return true;
+  }
+
   int fd_ = -1;
   bool connected_ = false;
   std::string buffer_;
+  std::size_t bytes_sent_ = 0;
+  std::size_t bytes_received_ = 0;
 };
 
 std::string Preamble() {
@@ -186,6 +198,60 @@ TEST(ServerTest, PipelinedRequestsOnOneConnection) {
         << line;
   }
   server.Shutdown();
+}
+
+TEST(ServerTest, HalfClosedPeerGetsEveryPipelinedReplyThenEof) {
+  Server::Options options;
+  options.num_shards = 1;
+  Server server(MakeIndex(), options);
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  // The whole batch and the EOF may land in one read: the replies are
+  // still owed, and only then does the server close.
+  ASSERT_TRUE(client.SendRaw("{\"op\":\"ping\",\"id\":\"a\"}\n"
+                             "{\"op\":\"topk\",\"metric\":\"confidence\","
+                             "\"k\":3,\"id\":\"b\"}\n"
+                             "{\"op\":\"ping\",\"id\":\"c\"}\n"));
+  client.ShutdownWrite();
+  std::string line;
+  for (const char* id : {"a", "b", "c"}) {
+    ASSERT_TRUE(client.Recv(&line)) << "reply " << id;
+    EXPECT_NE(line.find(std::string("\"id\":\"") + id + "\""),
+              std::string::npos)
+        << line;
+  }
+  EXPECT_FALSE(client.Recv(&line));  // EOF, no stray bytes.
+  server.Shutdown();
+}
+
+TEST(ServerTest, ShardByteCountersMatchTheWire) {
+  obs::MetricsRegistry metrics;
+  Server::Options options;
+  options.num_shards = 2;
+  options.metrics = &metrics;
+  Server server(MakeIndex(), options);
+  ASSERT_TRUE(server.Start().ok());
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  EXPECT_NE(client.RoundTrip("{\"op\":\"ping\"}").find("\"ok\":true"),
+            std::string::npos);
+  EXPECT_NE(client
+                .RoundTrip(
+                    "{\"op\":\"topk\",\"metric\":\"confidence\",\"k\":5}")
+                .find("\"ok\":true"),
+            std::string::npos);
+  server.Shutdown();
+  client.RecvAll();  // Up to the server's close.
+
+  std::uint64_t bytes_in = 0;
+  std::uint64_t bytes_out = 0;
+  for (const auto& c : metrics.Snapshot().counters) {
+    if (c.name.rfind("serve.shard_bytes_in", 0) == 0) bytes_in += c.value;
+    if (c.name.rfind("serve.shard_bytes_out", 0) == 0) bytes_out += c.value;
+  }
+  EXPECT_EQ(bytes_in, client.bytes_sent());
+  EXPECT_EQ(bytes_out, client.bytes_received());
 }
 
 TEST(ServerTest, BinaryPipelinedFramesAnswerInOrder) {
