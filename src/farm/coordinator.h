@@ -9,7 +9,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/farmer.h"
@@ -18,6 +17,7 @@
 #include "farm/protocol.h"
 #include "obs/metrics.h"
 #include "serve/snapshot.h"
+#include "util/event_loop.h"
 #include "util/status.h"
 #include "util/sync.h"
 #include "util/timer.h"
@@ -43,12 +43,12 @@ namespace farm {
 /// later ones are acked `fresh=0` and discarded — duplicates never
 /// reach the merge, which keeps it deterministic.
 ///
-/// Threading: Start() spawns one event-loop thread (epoll,
-/// level-triggered, same discipline as the serve shards) that owns all
-/// connection and lease state (ThreadChecker-confined). The caller
-/// thread talks to it only through the mutex-guarded completion state
-/// and stats. Finalize() runs on the caller thread after completion,
-/// when the loop can no longer append segments.
+/// Threading: Start() runs one net::EventLoop (util/event_loop.h, the
+/// loop under the serve shards too) that accepts on the listener and
+/// owns all connection and lease state (confined to its thread). The
+/// caller thread talks to it only through the mutex-guarded completion
+/// state and stats. Finalize() runs on the caller thread after
+/// completion, when the loop can no longer append segments.
 class Coordinator {
  public:
   struct Options {
@@ -114,15 +114,11 @@ class Coordinator {
 
   enum class LeaseStatus : std::uint8_t { kPending, kLeased, kDone };
 
-  struct Conn {
-    int fd = -1;
+  struct Conn : net::EventLoop::Conn {
     ConnState state = ConnState::kPreamble;
     bool hello_done = false;
-    bool close_after_flush = false;
     std::uint32_t worker_id = 0;
     std::string name;
-    std::string rbuf;
-    std::string wbuf;
     /// Rows this connection currently holds a lease on.
     std::set<std::uint32_t> held;
     /// Time since the last frame (any frame counts as liveness).
@@ -133,26 +129,23 @@ class Coordinator {
   struct LeaseState {
     LeaseStatus status = LeaseStatus::kPending;
     std::uint64_t lease_id = 0;  // Current (latest) lease of the row.
-    int holder_fd = -1;
   };
 
-  // ---- Event-loop thread (all state below `checker_` is confined) ----
-  void Loop();
-  void AcceptReady();
-  bool HandleReadable(Conn& conn);
+  // ---- Loop thread (the state below `loop_` is confined to it) ----
+  /// The on_read hook: protocol detection, then the scrape or frames.
+  bool OnRead(Conn& conn);
+  /// Answers a plain-HTTP scrape once its request head is buffered.
+  bool ServeScrape(Conn& conn);
   bool HandleFrame(Conn& conn, std::uint8_t opcode,
                    std::string_view payload);
   bool HandleHello(Conn& conn, std::string_view payload);
   bool HandleLeaseRequest(Conn& conn);
   bool HandleHeartbeat(Conn& conn, std::string_view payload);
   bool HandleResult(Conn& conn, std::string_view payload);
-  /// Queues bytes on the connection and flushes what the socket takes.
-  bool SendFrame(Conn& conn, std::string frame);
-  bool FlushConn(Conn& conn);
-  void CloseConn(int fd);
   /// Returns every lease `conn` holds to the pending set.
   void RevokeHeld(Conn& conn, bool notify);
-  void TickTimeouts();
+  /// The per-wake hook: heartbeat expiry, gauges, byte counters.
+  void OnWake(const net::EventLoop::Wake& wake);
   void CheckCompletion();
   void PublishGauges();
 
@@ -164,18 +157,13 @@ class Coordinator {
   serve::SnapshotParams params_;
 
   int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;
   int port_ = 0;
-  std::thread loop_thread_;
   std::atomic<bool> started_{false};
-  std::atomic<bool> stopping_{false};
 
-  /// Binds to the loop thread on its first iteration; every handler
-  /// asserts it runs there.
-  ThreadChecker checker_;
+  /// Owns the sockets; its checker() binds to the loop thread, and
+  /// every handler asserts it runs there.
+  net::EventLoop loop_;
   // Loop-confined state (no locks: single owner thread).
-  std::map<int, Conn> conns_;
   std::map<std::uint32_t, LeaseState> leases_;  // Keyed by root row.
   std::set<std::uint32_t> pending_;
   std::size_t done_count_ = 0;

@@ -9,7 +9,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -17,6 +16,7 @@
 #include "serve/cache.h"
 #include "serve/index.h"
 #include "serve/protocol.h"
+#include "util/event_loop.h"
 #include "util/status.h"
 #include "util/sync.h"
 #include "util/timer.h"
@@ -24,12 +24,12 @@
 namespace farmer {
 namespace serve {
 
-/// A concurrent rule-group query server built around epoll readiness:
-/// one blocking acceptor thread plus `num_shards` event-loop threads.
-/// Each admitted connection is handed to exactly one shard and never
-/// migrates, so all per-connection state is thread-confined — no locks
-/// on the hot path. Sockets are non-blocking; shards run level-triggered
-/// epoll with a short tick for idle/stall scans.
+/// A concurrent rule-group query server: one blocking acceptor thread
+/// plus `num_shards` shards, each a net::EventLoop (util/event_loop.h)
+/// thread. Each admitted connection is handed to exactly one shard and
+/// never migrates, so all per-connection state is thread-confined — no
+/// locks on the hot path. The loop does the socket I/O and the 50 ms
+/// tick; the server keeps the protocol and the idle/stall policy.
 ///
 /// Both wire framings of serve/protocol.h are spoken, auto-detected per
 /// connection: line-delimited JSON, and FQP1 length-prefixed binary
@@ -239,50 +239,33 @@ class Server {
     double parse_s = 0.0;
   };
 
-  /// Per-connection state, owned by exactly one shard.
-  struct Conn {
+  /// Per-connection protocol state; the shard's loop owns the socket
+  /// and the buffers.
+  struct Conn : net::EventLoop::Conn {
     enum class Mode { kDetect, kJson, kBinary, kHttp };
 
-    int fd = -1;
     Mode mode = Mode::kDetect;
-    std::string rbuf;
     /// Monotonic per-connection request counter; stands in for a
     /// req_id on JSON requests when tracing is on.
     std::uint64_t trace_seq = 0;
-    /// Outgoing responses awaiting the socket: outq[out_head..] are
-    /// unsent; out_off bytes of outq[out_head] are already gone.
-    std::vector<std::string> outq;
-    std::size_t out_head = 0;
-    std::size_t out_off = 0;
-    bool out_armed = false;   // EPOLLOUT currently requested.
-    bool want_close = false;  // Close once outq drains.
     Deadline idle;
-    Stopwatch stall;  // Runs while outq is non-empty without progress.
   };
 
-  /// One event-loop thread: its epoll set, an eventfd to wake it, and
-  /// a tiny locked inbox the acceptor pushes new fds through. Except
-  /// for the inbox, everything here is confined to the shard thread —
-  /// `checker` asserts that in debug builds.
+  /// One event-loop shard. The loop's hooks run the protocol on the
+  /// shard thread; the counters beside it are what other shards read.
   struct Shard {
-    int epoll_fd = -1;
-    int wake_fd = -1;
-    std::thread thread;
-    Mutex inbox_mutex;
-    std::vector<int> inbox FARMER_GUARDED_BY(inbox_mutex);
-    /// Shard-thread-confined: the connection map and through it every
-    /// Conn's parser buffer and out-queue. Only the shard's event loop
-    /// may touch them.
-    ThreadChecker checker;
-    std::unordered_map<int, Conn> conns;
+    Shard(Server* server, std::size_t id);
+
     /// Written only by the owning shard (relaxed), read by any shard
-    /// rendering the "stats" op — hence atomic, unlike conns.
+    /// rendering the "stats" op.
     std::atomic<std::uint64_t> requests{0};
-    std::atomic<std::size_t> owned{0};
     /// Shard-confined slow-query sampling counter.
     std::uint64_t slow_seen = 0;
     /// This shard's entry in shard_metrics_ (null when no registry).
     const ShardMetrics* sm = nullptr;
+    /// Last member: it stops, draining through the hooks, while the
+    /// rest of the shard is still alive.
+    net::EventLoop loop;
   };
 
   /// Per-request instrumentation context: trace lane + id and the
@@ -318,15 +301,9 @@ class Server {
   /// scrape succeeds even when query clients hold every slot. False =
   /// the listener is dead; AcceptLoop exits.
   bool AcceptOne(int lfd, bool admission_exempt, std::size_t* next_shard);
-  void ShardLoop(std::size_t shard_id);
-  /// Registers fds the acceptor queued on this shard.
-  void AdoptInbox(Shard& shard);
-  /// Drains the socket (until EAGAIN or a per-wake cap), parses and
-  /// executes every complete request, flushes. False = close.
-  bool HandleReadable(std::size_t shard_id, Shard& shard, Conn& conn);
   /// Parses every complete request in conn.rbuf (stamping deadlines),
   /// then executes them in arrival order, queueing responses.
-  void ProcessBuffered(std::size_t shard_id, Shard& shard, Conn& conn);
+  void ProcessBuffered(std::size_t shard_id, Conn& conn);
   /// Answers a plain-HTTP scrape connection once its request headers
   /// are fully buffered (GET /metrics -> exposition; anything else ->
   /// a small error response), then closes.
@@ -336,7 +313,7 @@ class Server {
   /// Cache lookup + query engine for one valid request. `scope` is
   /// null unless tracing or the slow-query log wants phase timings.
   QueryOutcome RunQuery(const QueryRequest& request, const Deadline& deadline,
-                        std::size_t shard_id, RequestScope* scope);
+                        RequestScope* scope);
   /// The reload admin op (and SIGHUP): re-reads options_.snapshot_path.
   QueryOutcome RunReload(const QueryRequest& request);
   /// Refreshes the scrape-time cache gauges and renders the registry
@@ -351,21 +328,12 @@ class Server {
   /// Queues response bytes (framed per conn.mode) on the connection.
   void Enqueue(Conn& conn, FrameStatus status, std::uint64_t bin_id,
                std::string json);
-  /// Queues pre-framed bytes (HTTP responses) on the connection.
-  void EnqueueRaw(Conn& conn, std::string bytes);
-  /// Writes as much of the out-queue as the socket accepts (vectored).
-  /// Arms/disarms EPOLLOUT to match. False = close the connection.
-  bool FlushConn(Shard& shard, Conn& conn);
-  /// Scans the shard's connections for idle and send-stall expiry.
-  void TickTimeouts(Shard& shard);
-  void CloseConn(Shard& shard, int fd);
-  void SetWriteInterest(Shard& shard, Conn& conn, bool want);
-  void WakeShard(Shard& shard);
+  /// The per-wake hook: idle and send-stall expiry, then the shard's
+  /// loop series.
+  void OnWake(Shard& shard, const net::EventLoop::Wake& wake);
   void PublishActiveGauge();
-
-  static bool HasPending(const Conn& conn) {
-    return conn.out_head < conn.outq.size();
-  }
+  /// Closes the serve and scrape listeners (each if open).
+  void CloseListeners();
 
   Options options_;
   ResponseCache cache_;
@@ -373,10 +341,13 @@ class Server {
   /// Indexed by shard id; empty when no registry is attached.
   std::vector<ShardMetrics> shard_metrics_;
 
-  /// RCU publication point. Readers load once per request; writers
-  /// (serialized by swap_mutex_) build the next VersionedIndex off to
-  /// the side and store it here.
-  std::atomic<std::shared_ptr<const VersionedIndex>> current_;
+  /// RCU publication point. Readers copy it once per request under
+  /// current_mutex_, held only for the copy; writers (serialized by
+  /// swap_mutex_) build the next VersionedIndex off to the side and
+  /// swap it in.
+  mutable Mutex current_mutex_;
+  std::shared_ptr<const VersionedIndex> current_
+      FARMER_GUARDED_BY(current_mutex_);
   /// Serializes snapshot writers (reload/install); readers never take it.
   Mutex swap_mutex_;
 

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdint>
@@ -200,6 +201,19 @@ std::string HttpResponse(const char* status_line, const char* content_type,
   out += "\r\nConnection: close\r\n\r\n";
   out.append(body.data(), body.size());
   return out;
+}
+
+bool HttpRequestPath(std::string_view buffered, std::string* path) {
+  if (buffered.find("\r\n\r\n") == std::string_view::npos &&
+      buffered.find("\n\n") == std::string_view::npos) {
+    return false;
+  }
+  // Request line: "<method> <path>[?query] <version>".
+  std::string_view target = buffered.substr(0, buffered.find_first_of("\r\n"));
+  target.remove_prefix(std::min(target.size(), target.find(' ') + 1));
+  target = target.substr(0, target.find_first_of(" ?"));
+  path->assign(target);
+  return true;
 }
 
 }  // namespace net

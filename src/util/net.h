@@ -53,6 +53,12 @@ bool SendAll(int fd, std::string_view data);
 std::string HttpResponse(const char* status_line, const char* content_type,
                          std::string_view body);
 
+/// Cuts the path out of a buffered HTTP request ("/metrics" for
+/// "GET /metrics?x=1 HTTP/1.0"; the query string is dropped) once the
+/// request head is complete, i.e. ends in a blank line (CRLF or bare
+/// LF). False while the head is still arriving. Headers are ignored.
+bool HttpRequestPath(std::string_view buffered, std::string* path);
+
 }  // namespace net
 }  // namespace farmer
 

@@ -38,10 +38,11 @@ Rules (also: --list-rules):
 
   event-loop-blocking
       Code between `// farmer-lint: begin(event-loop)` and
-      `// farmer-lint: end(event-loop)` runs on a serve shard's epoll
-      thread and must never block: no sleeps, no file streams, no
-      fopen/system/popen, no thread joins, no snapshot loads.
-      Unbalanced markers are themselves findings.
+      `// farmer-lint: end(event-loop)` runs on an event-loop thread
+      (util/event_loop.cc and the serve/farm hooks it calls) and must
+      never block: no sleeps, no file streams, no fopen/system/popen,
+      no thread joins, no snapshot loads. Unbalanced markers are
+      themselves findings.
 
   isa-flags
       (compile_commands.json) Any TU compiled with -mavx*/-msse*/
@@ -360,7 +361,7 @@ def lint_text(path, raw_text):
             if m:
                 findings.append(Finding(
                     path, lineno, "event-loop-blocking",
-                    "blocking call on the shard event loop: "
+                    "blocking call on the event loop: "
                     f"'{m.group(0).strip()}'"))
 
     findings += check_nodiscard_contract(path, code_text, raw_text)
