@@ -44,6 +44,8 @@ Coordinator::Coordinator(const BinaryDataset& dataset,
               },
           .on_wake =
               [this](const net::EventLoop::Wake& wake) { OnWake(wake); },
+          // Every accepted socket stays on this one loop.
+          .on_accept = nullptr,
       }) {
   if (options_.heartbeat_timeout_s <= 0) options_.heartbeat_timeout_s = 10.0;
   if (options_.metrics != nullptr) {
@@ -207,17 +209,7 @@ bool Coordinator::ServeScrape(Conn& conn) {
     return conn.rbuf.size() <= kMaxHttpRequest;
   }
   conn.rbuf.clear();
-  if (path != "/metrics") {
-    conn.Send(net::HttpResponse("404 Not Found", "text/plain",
-                                "try GET /metrics\n"));
-  } else if (options_.metrics == nullptr) {
-    conn.Send(net::HttpResponse("503 Service Unavailable", "text/plain",
-                                "no metrics registry attached\n"));
-  } else {
-    conn.Send(net::HttpResponse(
-        "200 OK", obs::kExpositionContentType,
-        obs::RenderPrometheus(options_.metrics->Snapshot())));
-  }
+  conn.Send(obs::ScrapeReply(path, options_.metrics));
   conn.want_close = true;
   return true;
 }

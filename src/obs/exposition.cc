@@ -6,6 +6,8 @@
 #include <map>
 #include <vector>
 
+#include "util/net.h"
+
 namespace farmer {
 namespace obs {
 
@@ -232,6 +234,21 @@ std::string RenderPrometheus(const MetricsSnapshot& snapshot) {
     }
   }
   return out;
+}
+
+std::string ScrapeReply(std::string_view path,
+                        const MetricsRegistry* registry) {
+  if (path != "/metrics") {
+    return net::HttpResponse("404 Not Found", "text/plain",
+                             "try GET /metrics\n");
+  }
+  if (registry == nullptr) {
+    return net::HttpResponse("503 Service Unavailable", "text/plain",
+                             "no metrics registry attached\n");
+  }
+  return net::HttpResponse("200 OK",
+                           "text/plain; version=0.0.4; charset=utf-8",
+                           RenderPrometheus(registry->Snapshot()));
 }
 
 }  // namespace obs

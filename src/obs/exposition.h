@@ -62,9 +62,12 @@ void SplitLabeledName(std::string_view name, std::string* base,
 /// buckets. The output always ends with a newline.
 std::string RenderPrometheus(const MetricsSnapshot& snapshot);
 
-/// The Content-Type an HTTP exposition endpoint should declare.
-inline constexpr char kExpositionContentType[] =
-    "text/plain; version=0.0.4; charset=utf-8";
+/// The complete HTTP reply to a plain-HTTP scrape of `path`: 200 with
+/// `registry`'s exposition for /metrics, 503 when no registry is
+/// attached, 404 for any other path. The serve and farm listeners both
+/// answer with it.
+std::string ScrapeReply(std::string_view path,
+                        const MetricsRegistry* registry);
 
 }  // namespace obs
 }  // namespace farmer

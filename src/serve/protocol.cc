@@ -1,13 +1,10 @@
 #include "serve/protocol.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/metrics.h"
+#include "util/json.h"
 #include "util/simd/simd.h"
 #include "util/wire.h"
 
@@ -17,231 +14,14 @@ namespace serve {
 namespace {
 
 // ---------------------------------------------------------------------
-// Minimal strict JSON parser. Supports exactly what the wire protocol
-// needs — objects, arrays, strings, numbers, booleans, null — with a
-// recursion depth cap so deeply nested hostile input cannot blow the
-// stack. Parse failures carry no position info; the server answers
-// "bad_request" either way.
-
-struct JsonValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-};
-
-constexpr int kMaxJsonDepth = 8;
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool Parse(JsonValue* out) {
-    SkipSpace();
-    if (!ParseValue(out, 0)) return false;
-    SkipSpace();
-    return pos_ == text_.size();  // No trailing garbage.
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\r' || text_[pos_] == '\n')) {
-      ++pos_;
-    }
-  }
-
-  bool Literal(const char* word) {
-    const std::size_t len = std::char_traits<char>::length(word);
-    if (text_.compare(pos_, len, word) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-
-  bool ParseValue(JsonValue* out, int depth) {
-    if (depth > kMaxJsonDepth) return false;
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case 'n':
-        out->type = JsonValue::Type::kNull;
-        return Literal("null");
-      case 't':
-        out->type = JsonValue::Type::kBool;
-        out->boolean = true;
-        return Literal("true");
-      case 'f':
-        out->type = JsonValue::Type::kBool;
-        out->boolean = false;
-        return Literal("false");
-      case '"':
-        out->type = JsonValue::Type::kString;
-        return ParseString(&out->string);
-      case '[':
-        return ParseArray(out, depth);
-      case '{':
-        return ParseObject(out, depth);
-      default:
-        out->type = JsonValue::Type::kNumber;
-        return ParseNumber(&out->number);
-    }
-  }
-
-  bool ParseString(std::string* out) {
-    ++pos_;  // Opening quote.
-    out->clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c != '\\') {
-        out->push_back(c);
-        ++pos_;
-        continue;
-      }
-      if (pos_ + 1 >= text_.size()) return false;
-      const char esc = text_[pos_ + 1];
-      pos_ += 2;
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) return false;
-          unsigned code = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = text_[pos_ + k];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else if (h >= 'A' && h <= 'F') {
-              code |= static_cast<unsigned>(h - 'A' + 10);
-            } else {
-              return false;
-            }
-          }
-          pos_ += 4;
-          // UTF-8 encode the BMP code point (surrogates rejected — the
-          // protocol never needs them).
-          if (code >= 0xD800 && code <= 0xDFFF) return false;
-          if (code < 0x80) {
-            out->push_back(static_cast<char>(code));
-          } else if (code < 0x800) {
-            out->push_back(static_cast<char>(0xC0 | (code >> 6)));
-            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          } else {
-            out->push_back(static_cast<char>(0xE0 | (code >> 12)));
-            out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
-            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
-          }
-          break;
-        }
-        default:
-          return false;
-      }
-    }
-    return false;  // Unterminated.
-  }
-
-  bool ParseNumber(double* out) {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    const std::string token = text_.substr(start, pos_ - start);
-    errno = 0;
-    char* end = nullptr;
-    *out = std::strtod(token.c_str(), &end);
-    return errno == 0 && end == token.c_str() + token.size() &&
-           std::isfinite(*out);
-  }
-
-  bool ParseArray(JsonValue* out, int depth) {
-    out->type = JsonValue::Type::kArray;
-    ++pos_;  // '['.
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue element;
-      SkipSpace();
-      if (!ParseValue(&element, depth + 1)) return false;
-      out->array.push_back(std::move(element));
-      SkipSpace();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      if (text_[pos_] != ',') return false;
-      ++pos_;
-    }
-  }
-
-  bool ParseObject(JsonValue* out, int depth) {
-    out->type = JsonValue::Type::kObject;
-    ++pos_;  // '{'.
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipSpace();
-      if (pos_ >= text_.size() || text_[pos_] != '"') return false;
-      std::string key;
-      if (!ParseString(&key)) return false;
-      SkipSpace();
-      if (pos_ >= text_.size() || text_[pos_] != ':') return false;
-      ++pos_;
-      SkipSpace();
-      JsonValue value;
-      if (!ParseValue(&value, depth + 1)) return false;
-      if (out->object.count(key) != 0) return false;  // Duplicate key.
-      out->object.emplace(std::move(key), std::move(value));
-      SkipSpace();
-      if (pos_ >= text_.size()) return false;
-      if (text_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      if (text_[pos_] != ',') return false;
-      ++pos_;
-    }
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-// ---------------------------------------------------------------------
 // Request validation.
 
 Status BadRequest(const std::string& msg) {
   return Status::InvalidArgument(msg);
 }
 
-bool GetSize(const JsonValue& v, std::size_t max, std::size_t* out) {
-  if (v.type != JsonValue::Type::kNumber) return false;
+bool GetSize(const json::Value& v, std::size_t max, std::size_t* out) {
+  if (v.type != json::Value::Type::kNumber) return false;
   if (v.number < 0 || v.number > static_cast<double>(max) ||
       v.number != std::floor(v.number)) {
     return false;
@@ -250,12 +30,12 @@ bool GetSize(const JsonValue& v, std::size_t max, std::size_t* out) {
   return true;
 }
 
-bool GetItems(const JsonValue& v, ItemVector* out) {
-  if (v.type != JsonValue::Type::kArray) return false;
+bool GetItems(const json::Value& v, ItemVector* out) {
+  if (v.type != json::Value::Type::kArray) return false;
   if (v.array.size() > kMaxQueryItems) return false;
   out->clear();
   out->reserve(v.array.size());
-  for (const JsonValue& e : v.array) {
+  for (const json::Value& e : v.array) {
     std::size_t item = 0;
     if (!GetSize(e, 0xFFFFFFFFu, &item)) return false;
     out->push_back(static_cast<ItemId>(item));
@@ -524,18 +304,13 @@ Status ParseRequest(const std::string& line, QueryRequest* out) {
     return BadRequest("request exceeds " +
                       std::to_string(kMaxRequestBytes) + " bytes");
   }
-  JsonValue root;
-  if (!JsonParser(line).Parse(&root) ||
-      root.type != JsonValue::Type::kObject) {
+  json::Value root;
+  if (!json::Parse(line, &root) || root.type != json::Value::Type::kObject) {
     return BadRequest("request is not a JSON object");
   }
-  const auto find = [&root](const char* key) -> const JsonValue* {
-    auto it = root.object.find(key);
-    return it == root.object.end() ? nullptr : &it->second;
-  };
 
-  const JsonValue* op = find("op");
-  if (op == nullptr || op->type != JsonValue::Type::kString) {
+  const json::Value* op = root.Find("op");
+  if (op == nullptr || op->type != json::Value::Type::kString) {
     return BadRequest("missing string field 'op'");
   }
   QueryRequest req;
@@ -564,13 +339,13 @@ Status ParseRequest(const std::string& line, QueryRequest* out) {
   for (const auto& [key, value] : root.object) {
     if (key == "op") continue;
     if (key == "id") {
-      if (value.type != JsonValue::Type::kString ||
+      if (value.type != json::Value::Type::kString ||
           value.string.size() > 256) {
         return BadRequest("'id' must be a short string");
       }
       req.id = value.string;
     } else if (key == "deadline_ms") {
-      if (value.type != JsonValue::Type::kNumber || value.number < 0) {
+      if (value.type != json::Value::Type::kNumber || value.number < 0) {
         return BadRequest("'deadline_ms' must be a non-negative number");
       }
       req.deadline_ms = value.number;
@@ -585,7 +360,7 @@ Status ParseRequest(const std::string& line, QueryRequest* out) {
                           std::to_string(kMaxResultLimit) + "]");
       }
     } else if (key == "metric" && wants_metric) {
-      if (value.type != JsonValue::Type::kString) {
+      if (value.type != json::Value::Type::kString) {
         return BadRequest("'metric' must be a string");
       }
       if (value.string == "confidence") {
@@ -607,7 +382,7 @@ Status ParseRequest(const std::string& line, QueryRequest* out) {
         return BadRequest("'minsup' must be a non-negative integer");
       }
     } else if (key == "minconf" && req.op == QueryRequest::Op::kFilter) {
-      if (value.type != JsonValue::Type::kNumber) {
+      if (value.type != json::Value::Type::kNumber) {
         return BadRequest("'minconf' must be a number");
       }
       req.min_confidence = value.number;

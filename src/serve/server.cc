@@ -1,10 +1,8 @@
 #include "serve/server.h"
 
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -21,10 +19,6 @@ namespace farmer {
 namespace serve {
 namespace {
 
-// Send timeout on sockets still in blocking mode (the reject path runs
-// before the fd goes non-blocking).
-constexpr int kRejectIoTimeoutMs = 100;
-
 // Latency buckets, seconds: 10us .. 1s plus overflow.
 std::vector<double> LatencyBounds() {
   return {1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0};
@@ -36,24 +30,11 @@ std::vector<double> ReloadBounds() {
   return {1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3, 1.0, 3.0, 10.0};
 }
 
-// The POSIX socket plumbing (non-blocking mode, listener setup, HTTP
-// responses) lives in util/net, shared with the farm layer and the CLI
-// clients; the shard sockets themselves belong to util/event_loop.
+// The POSIX socket plumbing (listener setup, HTTP responses) lives in
+// util/net, shared with the farm layer and the CLI clients; the
+// listeners and the shard sockets themselves belong to util/event_loop.
 using net::HttpResponse;
 using net::OpenListener;
-using net::SetNonBlocking;
-
-// Blocking best-effort send for the reject path (overloaded /
-// shutting-down replies on not-yet-admitted sockets). SO_SNDTIMEO
-// bounds each attempt; a stalled peer just loses the courtesy reply.
-void SendRejectLine(int fd, std::string line) {
-  line.push_back('\n');
-  net::SendAll(fd, line);
-}
-
-void SetRejectTimeout(int fd) {
-  net::SetSendTimeoutMs(fd, kRejectIoTimeoutMs);
-}
 
 const char* SpanName(QueryRequest::Op op) {
   switch (op) {
@@ -212,17 +193,19 @@ Status Server::Start() {
   for (std::size_t i = 0; i < options_.num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(this, i));
   }
-  for (auto& shard : shards_) {
-    const Status looping = shard->loop.Start();
+  // Shard 0 accepts and hands sockets to the others, so they run first.
+  std::vector<int> listeners = {listen_fd_};
+  if (metrics_listen_fd_ >= 0) listeners.push_back(metrics_listen_fd_);
+  next_shard_ = 0;
+  for (std::size_t i = shards_.size(); i-- > 0;) {
+    const Status looping =
+        shards_[i]->loop.Start(i == 0 ? listeners : std::vector<int>{});
     if (looping.ok()) continue;
-    for (auto& started : shards_) started->loop.Stop();
+    for (auto& shard : shards_) shard->loop.Stop();
     shards_.clear();
     CloseListeners();
     return looping;
   }
-
-  stopping_.store(false, std::memory_order_release);
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   started_.store(true, std::memory_order_release);
   return Status::Ok();
 }
@@ -232,108 +215,13 @@ void Server::Shutdown() {
   // racing the destructor) must not both join the threads.
   MutexLock lock(shutdown_mutex_);
   if (!started_.load(std::memory_order_acquire)) return;
-  stopping_.store(true, std::memory_order_release);
-  // Unblock the accept() call with shutdown() rather than close(): a
-  // close here could race a new accept on a reused fd number. The real
-  // close happens after the accept thread is gone — which also means no
-  // new fds can land in a shard inbox once the shards start exiting.
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (metrics_listen_fd_ >= 0) ::shutdown(metrics_listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  CloseListeners();
+  // Shard 0 stops first, which ends accepting; every socket it handed
+  // to another shard is then in that shard's inbox, and that shard's
+  // own Stop() drains it. The listeners close once nothing polls them.
   for (auto& shard : shards_) shard->loop.Stop();
+  CloseListeners();
   shards_.clear();
   started_.store(false, std::memory_order_release);
-}
-
-void Server::AcceptLoop() {
-  std::size_t next_shard = 0;
-  while (!stopping_.load(std::memory_order_acquire)) {
-    // The listeners stay blocking; poll() multiplexes the serve port
-    // and the optional dedicated scrape port without a second thread.
-    pollfd pfds[2] = {{listen_fd_, POLLIN, 0}, {metrics_listen_fd_, POLLIN, 0}};
-    const bool scrape = metrics_listen_fd_ >= 0;
-    const nfds_t nfds = scrape ? 2 : 1;
-    const int rc = ::poll(pfds, nfds, -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    // Shutdown() shuts the main listener down; its POLLHUP lands here
-    // and the failed accept ends the loop.
-    if ((pfds[0].revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
-      if (!AcceptOne(listen_fd_, /*admission_exempt=*/false, &next_shard)) {
-        break;
-      }
-    }
-    if (scrape && (pfds[1].revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
-      if (!AcceptOne(metrics_listen_fd_, /*admission_exempt=*/true,
-                     &next_shard)) {
-        break;
-      }
-    }
-  }
-}
-
-bool Server::AcceptOne(int lfd, bool admission_exempt,
-                       std::size_t* next_shard) {
-  const int fd = ::accept(lfd, nullptr, nullptr);
-  if (fd < 0) {
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
-      return true;
-    }
-    // Listener closed or broken: stop accepting. Shutdown() handles
-    // the rest.
-    return false;
-  }
-  SetRejectTimeout(fd);
-  if (stopping_.load(std::memory_order_acquire)) {
-    SendRejectLine(fd,
-                   RenderError("shutting_down", "server is shutting down"));
-    ::close(fd);
-    return false;
-  }
-
-  // Admission control. The slot is reserved here and released by the
-  // owning shard when the connection closes. Scrape-listener
-  // connections always get a slot (telemetry must work mid-overload)
-  // but are still counted, so the gauge never lies.
-  if (admission_exempt) {
-    active_connections_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    std::size_t active = active_connections_.load(std::memory_order_relaxed);
-    bool admitted = false;
-    while (active < options_.max_connections) {
-      if (active_connections_.compare_exchange_weak(
-              active, active + 1, std::memory_order_relaxed)) {
-        admitted = true;
-        break;
-      }
-    }
-    if (!admitted) {
-      overloaded_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_.overloaded != nullptr) metrics_.overloaded->Increment();
-      SendRejectLine(fd,
-                     RenderError("overloaded", "connection limit reached"));
-      ::close(fd);
-      return true;
-    }
-  }
-  PublishActiveGauge();
-
-  if (!SetNonBlocking(fd)) {
-    ::close(fd);
-    active_connections_.fetch_sub(1, std::memory_order_relaxed);
-    PublishActiveGauge();
-    return true;
-  }
-  // Responses are coalesced into full frames before sending; Nagle
-  // would only add latency on the last partial segment.
-  net::SetTcpNoDelay(fd);
-
-  shards_[*next_shard]->loop.Adopt(fd);
-  *next_shard = (*next_shard + 1) % shards_.size();
-  return true;
 }
 
 void Server::CloseListeners() {
@@ -365,7 +253,7 @@ Server::Shard::Shard(Server* server, std::size_t id)
                 server->ProcessBuffered(id, static_cast<Conn&>(conn));
                 return true;
               },
-          // Frees the admission slot AcceptOne reserved.
+          // Frees the admission slot Admit reserved.
           .on_close =
               [server](net::EventLoop::Conn&, bool) {
                 server->active_connections_.fetch_sub(
@@ -376,6 +264,9 @@ Server::Shard::Shard(Server* server, std::size_t id)
               [server, this](const net::EventLoop::Wake& wake) {
                 server->OnWake(*this, wake);
               },
+          // Only shard 0 has listeners, so only its loop calls this.
+          .on_accept = [server](int listener,
+                                int fd) { return server->Admit(listener, fd); },
       }) {}
 
 // farmer-lint: begin(event-loop)
@@ -384,7 +275,38 @@ Server::Shard::Shard(Server* server, std::size_t id)
 // (tools/farmer_lint.py, rule `event-loop-blocking`). Request execution
 // (ExecutePending and below) sits outside the region: the reload admin
 // op deliberately reads a snapshot file on the shard thread, stalling
-// only its own shard.
+// only its own shard (and, on shard 0, the accepts behind it).
+
+bool Server::Admit(int listener, int fd) {
+  FARMER_DCHECK_CALLED_ON(shards_[0]->loop.checker());
+  // Admission control. The slot is reserved here and released by the
+  // owning shard's on_close. Only this thread takes slots, so a plain
+  // check-then-add cannot overshoot the bound. Scrape-listener
+  // connections always get a slot (telemetry must work mid-overload)
+  // but are still counted, so the gauge never lies.
+  if (listener != metrics_listen_fd_ &&
+      active_connections_.load(std::memory_order_relaxed) >=
+          options_.max_connections) {
+    overloaded_.fetch_add(1, std::memory_order_relaxed);
+    if (metrics_.overloaded != nullptr) metrics_.overloaded->Increment();
+    // One non-blocking send: a peer with a full window just loses the
+    // courtesy line.
+    const std::string line =
+        RenderError("overloaded", "connection limit reached") + "\n";
+    [[maybe_unused]] const ssize_t sent =
+        ::send(fd, line.data(), line.size(), MSG_NOSIGNAL);
+    ::close(fd);
+    return false;
+  }
+  active_connections_.fetch_add(1, std::memory_order_relaxed);
+  PublishActiveGauge();
+
+  const std::size_t target = next_shard_;
+  next_shard_ = (next_shard_ + 1) % shards_.size();
+  if (target == 0) return true;
+  shards_[target]->loop.Adopt(fd);
+  return false;
+}
 
 void Server::ProcessBuffered(std::size_t shard_id, Conn& conn) {
   FARMER_DCHECK_CALLED_ON(shards_[shard_id]->loop.checker());
@@ -533,16 +455,8 @@ void Server::HandleHttp(Conn& conn) {
   // One response per connection, HTTP/1.0 style: drop any pipelined
   // bytes and close after the flush.
   conn.rbuf.clear();
-  if (path != "/metrics") {
-    conn.Send(HttpResponse("404 Not Found", "text/plain",
-                           "try GET /metrics\n"));
-  } else if (options_.metrics == nullptr) {
-    conn.Send(HttpResponse("503 Service Unavailable", "text/plain",
-                           "no metrics registry attached\n"));
-  } else {
-    conn.Send(HttpResponse("200 OK", obs::kExpositionContentType,
-                           RenderExposition()));
-  }
+  RefreshCacheGauges();
+  conn.Send(obs::ScrapeReply(path, options_.metrics));
   conn.want_close = true;
 }
 
@@ -770,8 +684,11 @@ Server::QueryOutcome Server::RunQuery(const QueryRequest& request,
               request.id);
           return out;
         }
-        out.json = FinishResponse(RenderMetricsPayload(RenderExposition()),
-                                  /*cached=*/false, request.id);
+        RefreshCacheGauges();
+        out.json = FinishResponse(
+            RenderMetricsPayload(
+                obs::RenderPrometheus(options_.metrics->Snapshot())),
+            /*cached=*/false, request.id);
         return out;
       case QueryRequest::Op::kReload:
         return RunReload(request);  // Dispatched earlier; kept total.
@@ -840,29 +757,18 @@ Server::QueryOutcome Server::RunReload(const QueryRequest& request) {
   return out;
 }
 
-std::string Server::RenderExposition() {
-  if (options_.metrics == nullptr) return std::string();
+void Server::RefreshCacheGauges() {
   // The cache gauges are pull-model: refreshed from the ResponseCache's
   // own counters at scrape time rather than updated on every hit.
+  if (options_.metrics == nullptr) return;
   const std::uint64_t hits = cache_.hits();
-  const std::uint64_t misses = cache_.misses();
-  if (metrics_.cache_entries != nullptr) {
-    metrics_.cache_entries->Set(static_cast<double>(cache_.size()));
-  }
-  if (metrics_.cache_bytes != nullptr) {
-    metrics_.cache_bytes->Set(static_cast<double>(cache_.bytes()));
-  }
-  if (metrics_.cache_evictions != nullptr) {
-    metrics_.cache_evictions->Set(static_cast<double>(cache_.evictions()));
-  }
-  if (metrics_.cache_hit_ratio != nullptr) {
-    const std::uint64_t lookups = hits + misses;
-    metrics_.cache_hit_ratio->Set(
-        lookups == 0 ? 0.0
-                     : static_cast<double>(hits) /
-                           static_cast<double>(lookups));
-  }
-  return obs::RenderPrometheus(options_.metrics->Snapshot());
+  const std::uint64_t lookups = hits + cache_.misses();
+  metrics_.cache_entries->Set(static_cast<double>(cache_.size()));
+  metrics_.cache_bytes->Set(static_cast<double>(cache_.bytes()));
+  metrics_.cache_evictions->Set(static_cast<double>(cache_.evictions()));
+  metrics_.cache_hit_ratio->Set(
+      lookups == 0 ? 0.0
+                   : static_cast<double>(hits) / static_cast<double>(lookups));
 }
 
 ServeLiveStats Server::GatherLiveStats() const {

@@ -8,7 +8,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -24,12 +23,13 @@
 namespace farmer {
 namespace serve {
 
-/// A concurrent rule-group query server: one blocking acceptor thread
-/// plus `num_shards` shards, each a net::EventLoop (util/event_loop.h)
-/// thread. Each admitted connection is handed to exactly one shard and
-/// never migrates, so all per-connection state is thread-confined — no
-/// locks on the hot path. The loop does the socket I/O and the 50 ms
-/// tick; the server keeps the protocol and the idle/stall policy.
+/// A concurrent rule-group query server: `num_shards` shards, each a
+/// net::EventLoop (util/event_loop.h) thread. Shard 0's loop also owns
+/// the listeners: its accept hook applies admission control and hands
+/// each admitted connection round-robin to exactly one shard, where it
+/// stays, so all per-connection state is thread-confined — no locks on
+/// the hot path. The loop does the socket I/O and the 50 ms tick; the
+/// server keeps the protocol and the idle/stall policy.
 ///
 /// Both wire framings of serve/protocol.h are spoken, auto-detected per
 /// connection: line-delimited JSON, and FQP1 length-prefixed binary
@@ -55,7 +55,7 @@ namespace serve {
 /// responses are pending are dropped after `send_timeout_s` without
 /// progress.
 ///
-/// Shutdown() is graceful: the listener closes first, shards finish the
+/// Shutdown() is graceful: accepting stops first, shards finish the
 /// requests they have parsed, flush what the peers will accept, then
 /// close their connections and exit.
 ///
@@ -138,7 +138,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens, and starts the acceptor and shard threads.
+  /// Binds, listens, and starts the shard threads.
   Status Start();
 
   /// The bound TCP port (valid after Start(); resolves port 0 binds).
@@ -295,12 +295,11 @@ class Server {
 
   std::shared_ptr<const VersionedIndex> Current() const;
 
-  void AcceptLoop();
-  /// Accepts one connection from `lfd` (poll said it is ready).
-  /// Metrics-listener connections bypass the admission bound so a
-  /// scrape succeeds even when query clients hold every slot. False =
-  /// the listener is dead; AcceptLoop exits.
-  bool AcceptOne(int lfd, bool admission_exempt, std::size_t* next_shard);
+  /// Shard 0's accept hook: admission control, then the round-robin
+  /// shard choice. Metrics-listener connections bypass the admission
+  /// bound so a scrape succeeds even when query clients hold every
+  /// slot. True keeps `fd` on shard 0.
+  bool Admit(int listener, int fd);
   /// Parses every complete request in conn.rbuf (stamping deadlines),
   /// then executes them in arrival order, queueing responses.
   void ProcessBuffered(std::size_t shard_id, Conn& conn);
@@ -316,9 +315,8 @@ class Server {
                         RequestScope* scope);
   /// The reload admin op (and SIGHUP): re-reads options_.snapshot_path.
   QueryOutcome RunReload(const QueryRequest& request);
-  /// Refreshes the scrape-time cache gauges and renders the registry
-  /// as Prometheus text ("" when no registry is attached).
-  std::string RenderExposition();
+  /// Refreshes the scrape-time cache gauges from the ResponseCache.
+  void RefreshCacheGauges();
   /// Collects the live serve-side values the "stats" op reports.
   ServeLiveStats GatherLiveStats() const;
   /// Renders and emits one slow-query log line.
@@ -359,12 +357,13 @@ class Server {
   int metrics_listen_fd_ = -1;
   int metrics_port_ = -1;
   std::atomic<bool> started_{false};
-  std::atomic<bool> stopping_{false};
+  /// The shard the next admitted connection goes to (shard 0's loop
+  /// only).
+  std::size_t next_shard_ = 0;
   std::atomic<std::size_t> active_connections_{0};
   std::atomic<std::uint64_t> overloaded_{0};
   std::atomic<std::uint64_t> slow_queries_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::thread accept_thread_;
 };
 
 }  // namespace serve

@@ -170,7 +170,7 @@ void EventLoop::AcceptReady(int listener) {
         ::accept4(listener, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) return;  // EAGAIN / transient failure: next wake retries.
     SetTcpNoDelay(fd);
-    Register(fd);
+    if (!hooks_.on_accept || hooks_.on_accept(listener, fd)) Register(fd);
   }
 }
 

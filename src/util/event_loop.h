@@ -25,7 +25,8 @@ namespace net {
 ///
 /// The loop owns the epoll set, an eventfd wake and a 50 ms tick; an
 /// inbox through which other threads hand it sockets (Adopt); optional
-/// listeners it accepts from itself; and per connection a read buffer,
+/// listeners it accepts from itself, whose owner may pass each new
+/// socket on to another loop; and per connection a read buffer,
 /// a vectored send queue and a send-stall stopwatch. Epoll is
 /// level-triggered: a read takes at most 256 KiB per wake, so one
 /// fire-hosing peer cannot starve the rest, and EPOLLOUT is armed only
@@ -101,6 +102,11 @@ class EventLoop {
     /// Once per wake after its events, and once more after the drain:
     /// the owner's timeout scan and metrics.
     std::function<void(const Wake& wake)> on_wake;
+    /// Optional: a socket `fd` just accepted from `listener` (already
+    /// non-blocking, TCP_NODELAY). True keeps it on this loop; false
+    /// means the owner took it (handed it to another loop, or closed
+    /// it). Null keeps every socket.
+    std::function<bool(int listener, int fd)> on_accept;
   };
 
   explicit EventLoop(Hooks hooks) : hooks_(std::move(hooks)) {}
@@ -112,7 +118,8 @@ class EventLoop {
 
   /// Creates the epoll set and the wake, registers `listeners` (made
   /// non-blocking; the caller closes them after Stop()) and starts the
-  /// loop thread.
+  /// loop thread. A loop that on_accept hands sockets to must be
+  /// started first and stopped after this one.
   Status Start(const std::vector<int>& listeners = {});
 
   /// Hands a connected non-blocking socket to the loop.

@@ -55,13 +55,6 @@ void SetTcpNoDelay(int fd) {
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 }
 
-void SetSendTimeoutMs(int fd, int timeout_ms) {
-  timeval tv;
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
 Status OpenListener(const std::string& host, int port, int* out_fd,
                     int* out_port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);

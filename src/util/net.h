@@ -27,10 +27,6 @@ bool SetNonBlocking(int fd);
 /// only costs latency, so the error is ignored.
 void SetTcpNoDelay(int fd);
 
-/// Bounds blocking sends with SO_SNDTIMEO so farewell writes to a
-/// stalled peer give up instead of wedging the caller.
-void SetSendTimeoutMs(int fd, int timeout_ms);
-
 /// Creates a bound, listening TCP socket on host:port (SO_REUSEADDR).
 /// On success fills *out_fd and *out_port, the latter resolving
 /// ephemeral (port 0) binds via getsockname.
@@ -45,7 +41,7 @@ Status ConnectToHost(const std::string& host, int port,
 
 /// Writes all of `data`, retrying on EINTR, MSG_NOSIGNAL so a dead
 /// peer surfaces as an error instead of SIGPIPE. False on any other
-/// send failure (including an SO_SNDTIMEO expiry).
+/// send failure.
 bool SendAll(int fd, std::string_view data);
 
 /// Minimal HTTP/1.0 response — enough for curl and a Prometheus

@@ -1,7 +1,7 @@
 // Tests for net::EventLoop (util/event_loop.h), the socket loop under
 // the serve shards and the farm coordinator: back-pressure on a slow
 // reader, the drain of sockets adopted just before Stop(), and the
-// accept and half-close paths. Hooks run on the loop thread; each test
+// accept (kept or handed to another loop) and half-close paths. Hooks run on the loop thread; each test
 // reads what they recorded only after Stop() has joined it.
 
 #include "util/event_loop.h"
@@ -58,6 +58,7 @@ EventLoop::Hooks RecordingHooks(Record* record,
             record->bytes_out += wake.bytes_out;
             record->write_stalls += wake.write_stalls;
           },
+      .on_accept = nullptr,
   };
 }
 
@@ -192,6 +193,50 @@ TEST(EventLoopTest, AcceptsOnItsListenerAndAnswersAHalfClosedPeer) {
   // The close came from the drained queue, before Stop().
   EXPECT_EQ(record.closes, std::vector<int>{1});
   EXPECT_EQ(record.drain_closes, 0);
+}
+
+TEST(EventLoopTest, AcceptHookHandsASocketToAnotherLoop) {
+  Record served;
+  EventLoop target(RecordingHooks(&served, [](EventLoop::Conn& conn) {
+    if (conn.rbuf.find('\n') == std::string::npos) return true;
+    conn.Send("pong\n");
+    conn.want_close = true;
+    return true;
+  }));
+  ASSERT_TRUE(target.Start().ok());
+
+  int listener = -1;
+  int port = 0;
+  ASSERT_TRUE(OpenListener("127.0.0.1", 0, &listener, &port).ok());
+  Record accepted;
+  EventLoop::Hooks hooks =
+      RecordingHooks(&accepted, [](EventLoop::Conn&) { return false; });
+  int handed = 0;
+  hooks.on_accept = [&](int from, int fd) {
+    EXPECT_EQ(from, listener);
+    ++handed;
+    target.Adopt(fd);
+    return false;
+  };
+  EventLoop acceptor(std::move(hooks));
+  ASSERT_TRUE(acceptor.Start({listener}).ok());
+
+  int client = -1;
+  ASSERT_TRUE(ConnectToHost("127.0.0.1", port, 5.0, &client).ok());
+  ASSERT_TRUE(SendAll(client, "ping\n"));
+  EXPECT_EQ(ReadUntilEof(client, 4096, std::chrono::microseconds(0)),
+            "pong\n");
+  EXPECT_EQ(acceptor.connections(), 0u);
+  ::close(client);
+  // The accepting loop stops first, as the owner of a hand-off must.
+  acceptor.Stop();
+  target.Stop();
+  ::close(listener);
+
+  EXPECT_EQ(handed, 1);
+  EXPECT_EQ(accepted.made, 0);
+  EXPECT_EQ(served.closes, std::vector<int>{1});
+  EXPECT_EQ(served.drain_closes, 0);
 }
 
 }  // namespace

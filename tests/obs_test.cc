@@ -5,14 +5,13 @@
 // byte-identical.
 
 #include <atomic>
-#include <cctype>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -25,193 +24,28 @@
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "tests/test_util.h"
+#include "util/json.h"
 
 namespace farmer {
 namespace {
 
 using testing_util::RandomDataset;
 
-// ---------------------------------------------------------------------
-// A minimal JSON reader, just enough to validate the obs exporters
-// without external dependencies. Parses objects, arrays, strings,
-// numbers, booleans and null into a tagged tree.
-struct JsonValue {
-  enum Kind { kNull, kBool, kNumber, kString, kArray, kObject } kind = kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string text;
-  std::vector<JsonValue> items;
-  std::map<std::string, JsonValue> fields;
+// Every exporter's output goes through the same strict parser the
+// query server reads requests with (util/json.h).
 
-  const JsonValue& at(const std::string& key) const {
-    static const JsonValue missing;
-    auto it = fields.find(key);
-    return it == fields.end() ? missing : it->second;
-  }
-  bool Has(const std::string& key) const { return fields.count(key) > 0; }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  bool Parse(JsonValue* out) {
-    SkipSpace();
-    if (!ParseValue(out)) return false;
-    SkipSpace();
-    return pos_ == s_.size();
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Literal(const char* word, std::size_t len) {
-    if (s_.compare(pos_, len, word) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-
-  bool ParseValue(JsonValue* out) {
-    SkipSpace();
-    if (pos_ >= s_.size()) return false;
-    const char c = s_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
-    if (c == '"') {
-      out->kind = JsonValue::kString;
-      return ParseString(&out->text);
-    }
-    if (c == 't') {
-      out->kind = JsonValue::kBool;
-      out->boolean = true;
-      return Literal("true", 4);
-    }
-    if (c == 'f') {
-      out->kind = JsonValue::kBool;
-      out->boolean = false;
-      return Literal("false", 5);
-    }
-    if (c == 'n') {
-      out->kind = JsonValue::kNull;
-      return Literal("null", 4);
-    }
-    return ParseNumber(out);
-  }
-
-  bool ParseString(std::string* out) {
-    if (s_[pos_] != '"') return false;
-    ++pos_;
-    out->clear();
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= s_.size()) return false;
-        const char esc = s_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case 'r': c = '\r'; break;
-          case 'u':
-            // Good enough for validation: skip the 4 hex digits.
-            if (pos_ + 4 > s_.size()) return false;
-            pos_ += 4;
-            c = '?';
-            break;
-          default: c = esc; break;
-        }
-      }
-      out->push_back(c);
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;  // Closing quote.
-    return true;
-  }
-
-  bool ParseNumber(JsonValue* out) {
-    const std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    out->kind = JsonValue::kNumber;
-    out->number = std::stod(s_.substr(start, pos_ - start));
-    return true;
-  }
-
-  bool ParseObject(JsonValue* out) {
-    out->kind = JsonValue::kObject;
-    ++pos_;  // '{'
-    SkipSpace();
-    if (pos_ < s_.size() && s_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      SkipSpace();
-      std::string key;
-      if (!ParseString(&key)) return false;
-      SkipSpace();
-      if (pos_ >= s_.size() || s_[pos_] != ':') return false;
-      ++pos_;
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->fields.emplace(std::move(key), std::move(value));
-      SkipSpace();
-      if (pos_ >= s_.size()) return false;
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool ParseArray(JsonValue* out) {
-    out->kind = JsonValue::kArray;
-    ++pos_;  // '['
-    SkipSpace();
-    if (pos_ < s_.size() && s_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->items.push_back(std::move(value));
-      SkipSpace();
-      if (pos_ >= s_.size()) return false;
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-JsonValue ParseJsonOrDie(const std::string& text) {
-  JsonValue v;
-  EXPECT_TRUE(JsonParser(text).Parse(&v)) << "invalid JSON: " << text;
+json::Value ParseJsonOrDie(const std::string& text) {
+  json::Value v;
+  EXPECT_TRUE(json::Parse(text, &v)) << "invalid JSON: " << text;
   return v;
+}
+
+// The member `key` of `v`, or a null value when absent, so lookups
+// chain like paths.
+const json::Value& At(const json::Value& v, std::string_view key) {
+  static const json::Value kMissing;
+  const json::Value* found = v.Find(key);
+  return found != nullptr ? *found : kMissing;
 }
 
 // ---------------------------------------------------------------------
@@ -371,13 +205,13 @@ TEST(MetricsTest, JsonExportIsValidAndComplete) {
   registry.GetCounter("c.one")->Add(42);
   registry.GetGauge("g.two")->Set(2.5);
   registry.GetHistogram("h.three", {1.0, 2.0})->Observe(1.5);
-  JsonValue root = ParseJsonOrDie(registry.ToJson());
-  ASSERT_EQ(root.kind, JsonValue::kObject);
-  EXPECT_DOUBLE_EQ(root.at("counters").at("c.one").number, 42.0);
-  EXPECT_DOUBLE_EQ(root.at("gauges").at("g.two").number, 2.5);
-  const JsonValue& h = root.at("histograms").at("h.three");
-  ASSERT_EQ(h.at("buckets").items.size(), 3u);
-  EXPECT_DOUBLE_EQ(h.at("count").number, 1.0);
+  json::Value root = ParseJsonOrDie(registry.ToJson());
+  ASSERT_EQ(root.type, json::Value::Type::kObject);
+  EXPECT_DOUBLE_EQ(At(At(root, "counters"), "c.one").number, 42.0);
+  EXPECT_DOUBLE_EQ(At(At(root, "gauges"), "g.two").number, 2.5);
+  const json::Value& h = At(At(root, "histograms"), "h.three");
+  ASSERT_EQ(At(h, "buckets").array.size(), 3u);
+  EXPECT_DOUBLE_EQ(At(h, "count").number, 1.0);
 }
 
 TEST(BenchJsonTest, ControlCharactersStayValidJson) {
@@ -393,9 +227,13 @@ TEST(BenchJsonTest, ControlCharactersStayValidJson) {
   for (char c : json) {
     EXPECT_GE(static_cast<unsigned char>(c), 0x20u) << json;
   }
-  JsonValue root = ParseJsonOrDie(json);
-  ASSERT_EQ(root.kind, JsonValue::kObject);
-  EXPECT_DOUBLE_EQ(root.at("n").number, 3.0);
+  // Decoding the escapes gives back the exact bytes.
+  json::Value root = ParseJsonOrDie(json);
+  ASSERT_EQ(root.type, json::Value::Type::kObject);
+  ASSERT_EQ(root.object.size(), 2u);
+  ASSERT_NE(root.Find("key\x01"), nullptr) << json;
+  EXPECT_EQ(root.Find("key\x01")->string, "a\"b\\c\nd\re\x1f");
+  EXPECT_DOUBLE_EQ(At(root, "n").number, 3.0);
 }
 
 // ---------------------------------------------------------------------
@@ -403,7 +241,7 @@ TEST(BenchJsonTest, ControlCharactersStayValidJson) {
 
 struct TracedRun {
   FarmerResult result;
-  JsonValue trace;
+  json::Value trace;
   std::uint64_t merge_segments = 0;
 };
 
@@ -427,30 +265,30 @@ TracedRun MineWithTrace(std::size_t threads) {
 
 TEST(TraceTest, FourThreadRunEmitsValidChromeTraceFormat) {
   TracedRun run = MineWithTrace(4);
-  ASSERT_EQ(run.trace.kind, JsonValue::kObject);
-  const JsonValue& events = run.trace.at("traceEvents");
-  ASSERT_EQ(events.kind, JsonValue::kArray);
-  ASSERT_FALSE(events.items.empty());
+  ASSERT_EQ(run.trace.type, json::Value::Type::kObject);
+  const json::Value& events = At(run.trace, "traceEvents");
+  ASSERT_EQ(events.type, json::Value::Type::kArray);
+  ASSERT_FALSE(events.array.empty());
 
   std::size_t merge_spans = 0;
   std::set<std::string> names;
-  for (const JsonValue& e : events.items) {
-    ASSERT_EQ(e.kind, JsonValue::kObject);
-    ASSERT_TRUE(e.Has("name"));
-    ASSERT_TRUE(e.Has("ph"));
-    ASSERT_TRUE(e.Has("pid"));
-    ASSERT_TRUE(e.Has("tid"));
-    const std::string& ph = e.at("ph").text;
+  for (const json::Value& e : events.array) {
+    ASSERT_EQ(e.type, json::Value::Type::kObject);
+    ASSERT_NE(e.Find("name"), nullptr);
+    ASSERT_NE(e.Find("ph"), nullptr);
+    ASSERT_NE(e.Find("pid"), nullptr);
+    ASSERT_NE(e.Find("tid"), nullptr);
+    const std::string& ph = At(e, "ph").string;
     ASSERT_TRUE(ph == "X" || ph == "i" || ph == "M") << ph;
     if (ph == "M") continue;  // Metadata events carry no timestamp args.
-    ASSERT_TRUE(e.Has("ts"));
-    names.insert(e.at("name").text);
+    ASSERT_NE(e.Find("ts"), nullptr);
+    names.insert(At(e, "name").string);
     if (ph == "X") {
-      ASSERT_TRUE(e.Has("dur"));
-      EXPECT_GE(e.at("dur").number, 0.0);
-      if (e.at("name").text == "merge") {
+      ASSERT_NE(e.Find("dur"), nullptr);
+      EXPECT_GE(At(e, "dur").number, 0.0);
+      if (At(e, "name").string == "merge") {
         ++merge_spans;
-        EXPECT_DOUBLE_EQ(e.at("tid").number, 0.0);  // Control lane.
+        EXPECT_DOUBLE_EQ(At(e, "tid").number, 0.0);  // Control lane.
       }
     }
   }
@@ -469,8 +307,8 @@ TEST(TraceTest, StealInstantsMatchStealCounter) {
   // every steal the pool observed must have produced one instant.
   TracedRun run = MineWithTrace(4);
   std::size_t steal_events = 0;
-  for (const JsonValue& e : run.trace.at("traceEvents").items) {
-    if (e.at("name").text == "steal") ++steal_events;
+  for (const json::Value& e : At(run.trace, "traceEvents").array) {
+    if (At(e, "name").string == "steal") ++steal_events;
   }
   EXPECT_EQ(steal_events, run.result.stats.task_steals);
 }
@@ -482,16 +320,16 @@ TEST(TraceTest, MineLbSpansRunOnWorkerLanes) {
   ASSERT_FALSE(run.result.groups.empty());
   std::size_t group_spans = 0;
   std::size_t phase_spans = 0;
-  for (const JsonValue& e : run.trace.at("traceEvents").items) {
-    const std::string& name = e.at("name").text;
-    if (e.at("ph").text != "X") continue;
+  for (const json::Value& e : At(run.trace, "traceEvents").array) {
+    const std::string& name = At(e, "name").string;
+    if (At(e, "ph").string != "X") continue;
     if (name == "minelb") {
       ++group_spans;
-      EXPECT_GE(e.at("tid").number, 1.0);
-      EXPECT_LE(e.at("tid").number, 4.0);
+      EXPECT_GE(At(e, "tid").number, 1.0);
+      EXPECT_LE(At(e, "tid").number, 4.0);
     } else if (name == "minelb_phase") {
       ++phase_spans;
-      EXPECT_DOUBLE_EQ(e.at("tid").number, 0.0);
+      EXPECT_DOUBLE_EQ(At(e, "tid").number, 0.0);
     }
   }
   EXPECT_EQ(group_spans, run.result.groups.size());
@@ -501,11 +339,11 @@ TEST(TraceTest, MineLbSpansRunOnWorkerLanes) {
 TEST(TraceTest, MetadataNamesEveryLane) {
   obs::TraceSession session(3);  // Control + 2 workers.
   session.Instant(0, "x");
-  JsonValue root = ParseJsonOrDie(session.ToJson());
+  json::Value root = ParseJsonOrDie(session.ToJson());
   std::set<std::string> thread_names;
-  for (const JsonValue& e : root.at("traceEvents").items) {
-    if (e.at("ph").text == "M" && e.at("name").text == "thread_name") {
-      thread_names.insert(e.at("args").at("name").text);
+  for (const json::Value& e : At(root, "traceEvents").array) {
+    if (At(e, "ph").string == "M" && At(e, "name").string == "thread_name") {
+      thread_names.insert(At(At(e, "args"), "name").string);
     }
   }
   EXPECT_TRUE(thread_names.count("main"));

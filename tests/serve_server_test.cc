@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -963,6 +964,30 @@ TEST(ServerTest, StatsReportsLiveServeSection) {
   EXPECT_NE(stats.find("\"shard_connections\":["), std::string::npos);
   EXPECT_NE(stats.find("\"slow_queries\":0"), std::string::npos);
   EXPECT_NE(stats.find("\"cache\":{\"hits\":"), std::string::npos);
+  server.Shutdown();
+}
+
+TEST(ServerTest, ConnectionsLandOnShardsRoundRobin) {
+  // Shard 0 accepts and deals connections out in turn, so four clients
+  // on two shards sit two and two (pipelined benchmarks rely on this
+  // spread to load every shard).
+  Server::Options options;
+  options.num_shards = 2;
+  Server server(MakeIndex(), options);
+  ASSERT_TRUE(server.Start().ok());
+  std::vector<std::unique_ptr<TestClient>> clients;
+  for (int i = 0; i < 4; ++i) {
+    clients.push_back(std::make_unique<TestClient>(server.port()));
+    ASSERT_TRUE(clients.back()->connected());
+    EXPECT_NE(clients.back()->RoundTrip("{\"op\":\"ping\"}").find(
+                  "\"ok\":true"),
+              std::string::npos);
+  }
+  for (auto& client : clients) {
+    const std::string stats = client->RoundTrip("{\"op\":\"stats\"}");
+    EXPECT_NE(stats.find("\"shard_connections\":[2,2]"), std::string::npos)
+        << stats;
+  }
   server.Shutdown();
 }
 
