@@ -1,9 +1,11 @@
 #include <cmath>
 #include <set>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "util/json.h"
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/timer.h"
@@ -115,6 +117,43 @@ TEST(StatusTest, CodesAndMessages) {
   EXPECT_EQ(s.ToString(), "InvalidArgument: bad row");
   EXPECT_TRUE(Status::IoError("x").IsIoError());
   EXPECT_TRUE(Status::NotFound("y").IsNotFound());
+}
+
+TEST(JsonTest, ParsesNestedValuesAndDecodesEscapes) {
+  json::Value v;
+  ASSERT_TRUE(json::Parse(
+      " {\"a\": [1, -2.5e3, true, null], \"s\": \"x\\u00e9\\n\\u0001\"} ",
+      &v));
+  ASSERT_EQ(v.type, json::Value::Type::kObject);
+  const json::Value* a = v.Find("a");
+  ASSERT_NE(a, nullptr);
+  ASSERT_EQ(a->array.size(), 4u);
+  EXPECT_DOUBLE_EQ(a->array[1].number, -2500.0);
+  EXPECT_TRUE(a->array[2].boolean);
+  EXPECT_EQ(a->array[3].type, json::Value::Type::kNull);
+  ASSERT_NE(v.Find("s"), nullptr);
+  EXPECT_EQ(v.Find("s")->string, "x\xc3\xa9\n\x01");
+  EXPECT_EQ(v.Find("missing"), nullptr);
+  EXPECT_EQ(a->Find("a"), nullptr);  // Not an object.
+}
+
+TEST(JsonTest, RejectsWhatTheStrictGrammarForbids) {
+  const std::string nested_ok(json::kMaxDepth + 1, '[');
+  const std::string too_deep(json::kMaxDepth + 2, '[');
+  json::Value v;
+  EXPECT_TRUE(json::Parse(nested_ok + std::string(json::kMaxDepth + 1, ']'),
+                          &v));
+  for (const std::string& bad : {
+           too_deep + std::string(json::kMaxDepth + 2, ']'),
+           std::string("{\"k\":1,\"k\":2}"),     // Duplicate key.
+           std::string("\"raw\ttab\""),           // Raw control byte.
+           std::string("1e999"),                  // Not finite.
+           std::string("\"\\ud800\""),             // Surrogate escape.
+           std::string("{\"a\":1} x"),             // Trailing bytes.
+           std::string("[1,]"), std::string("{\"a\"}"), std::string(""),
+       }) {
+    EXPECT_FALSE(json::Parse(bad, &v)) << bad;
+  }
 }
 
 }  // namespace
